@@ -55,7 +55,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "ingest worker shards applied to every plain sweep point (<=1 = sequential)")
 		batch    = flag.Int("batch", 0, "ingest batch window in ticks applied to every plain sweep point (<=1 = off)")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		progress = flag.Bool("progress", false, "deprecated alias for -v")
 		verbose  = flag.Bool("v", false, "debug logging on stderr (per-point sweep progress, cache stats)")
 		quiet    = flag.Bool("quiet", false, "suppress informational logging")
 		obsIv    = flag.Duration("obs-interval", 0, "period between aggregate obs summary lines on stderr while sweeps run")
@@ -72,7 +71,7 @@ func main() {
 	}
 
 	level := obs.LevelInfo
-	if *verbose || *progress {
+	if *verbose {
 		level = obs.LevelDebug
 	}
 	if *quiet {

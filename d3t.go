@@ -15,7 +15,7 @@
 //     (network, overlay, dissemination, fidelity measurement); Figures
 //     regenerates every table and figure of the paper's evaluation.
 //   - Building blocks: traces (GenerateTraces), physical networks
-//     (GenerateNetwork), overlay construction (NewLeLA and friends) and
+//     (GenerateNetwork), overlay construction (NewLeLA) and
 //     dissemination protocols (NewDistributed, NewCentralized, RunPush,
 //     RunPull, RunLease) for custom setups.
 //   - Live runtimes: the live subpackage runs the same algorithms on
@@ -25,11 +25,10 @@
 //     placement, per-client filtered fan-out, churn/migration, and
 //     client-observed fidelity; live and netio serve sessions over
 //     channels and TCP subscriptions.
-//   - Sharded ingest: Config.Shards/Config.BatchTicks (and the
-//     IngestPipeline building block) hash-partition independent items
-//     across parallel workers and coalesce update bursts into batches —
-//     the same partition drives the simulator, live's per-shard batch
-//     channels, and netio's multi-update frames.
+//   - Sharded ingest: Config.Shards/Config.BatchTicks hash-partition
+//     independent items across parallel workers and coalesce update
+//     bursts into batches — the same partition drives the simulator,
+//     live's per-shard batch channels, and netio's multi-update frames.
 //   - Virtual serving: VirtualFleet (and Config.VirtualSessions) serves
 //     sessions as compact per-shard array state instead of one object
 //     each — millions of sessions in one process with the exact serving
@@ -63,10 +62,8 @@ import (
 	"d3t/internal/coherency"
 	"d3t/internal/core"
 	"d3t/internal/dissemination"
-	"d3t/internal/ingest"
 	"d3t/internal/netsim"
 	"d3t/internal/node"
-	"d3t/internal/place"
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
@@ -91,8 +88,6 @@ type (
 	FigureResult = core.FigureResult
 	// FigureFunc regenerates one table or figure.
 	FigureFunc = core.FigureFunc
-	// Series is one labelled curve in a FigureResult.
-	Series = core.Series
 )
 
 // DefaultConfig returns the paper's base case at full scale.
@@ -118,9 +113,6 @@ func FigureIDs() []string { return core.FigureIDs() }
 // pool, sharing cached networks and trace sets across sweep points.
 // Results are index-ordered and independent of the worker count.
 type SweepRunner = core.Runner
-
-// SweepProgress is the per-point progress report of a SweepRunner.
-type SweepProgress = core.Progress
 
 // NewSweepRunner returns a runner bounded to the given worker count
 // (<= 0 means GOMAXPROCS). Assign it to Scale.Runner to share caches
@@ -159,8 +151,6 @@ type (
 	ClientWorkload = repository.ClientWorkload
 	// Overlay is a constructed dissemination graph.
 	Overlay = tree.Overlay
-	// Builder constructs overlays.
-	Builder = tree.Builder
 	// LeLABuilder is the paper's Level-by-Level Algorithm with its
 	// dynamic-membership operations (Insert, UpdateNeeds).
 	LeLABuilder = tree.LeLA
@@ -174,8 +164,6 @@ type (
 	LeaseConfig = dissemination.LeaseConfig
 	// RunResult is the outcome of a protocol run over an overlay.
 	RunResult = dissemination.Result
-	// FidelityReport aggregates per-repository fidelity.
-	FidelityReport = coherency.Report
 )
 
 // Time units re-exported for building schedules and delays.
@@ -205,10 +193,6 @@ func GenerateTrace(cfg TraceConfig) (*Trace, error) { return trace.Generate(cfg)
 func GenerateTraces(n, ticks int, interval Time, seed int64) []*Trace {
 	return trace.GenerateSet(n, ticks, interval, seed)
 }
-
-// LookupWorkload resolves a registered workload family by name; the empty
-// string selects "stocks".
-func LookupWorkload(name string) (Workload, error) { return trace.LookupWorkload(name) }
 
 // RegisterWorkload adds a custom workload family to the registry, making
 // it selectable via Config.Workload and the cmd flags.
@@ -303,40 +287,6 @@ func NewNodeSession(name string, wants map[string]Requirement) *NodeSession {
 	return node.NewSession(name, wants)
 }
 
-// Ingest layer -----------------------------------------------------------
-
-type (
-	// IngestConfig parameterizes the sharded batched ingest pipeline
-	// (Config.Shards / Config.BatchTicks select it for experiments).
-	IngestConfig = ingest.Config
-	// IngestStats reports an ingest run's throughput and coalescing work
-	// (Outcome.Ingest carries one for sharded/batched runs).
-	IngestStats = ingest.Stats
-	// IngestPipeline is the transport-free sharded ingest engine: items
-	// hash-partition across shard workers, each draining its batches'
-	// fan-out plans through its own set of repository cores at full
-	// speed.
-	IngestPipeline = ingest.Pipeline
-)
-
-// NewIngestPipeline builds and starts an ingest pipeline over a built
-// overlay, seeded with the items' initial values.
-func NewIngestPipeline(o *Overlay, initial map[string]float64, cfg IngestConfig) *IngestPipeline {
-	return ingest.NewPipeline(o, initial, cfg)
-}
-
-// ShardOf maps an item to its ingest shard — the one hash every sharded
-// layer (pipeline workers, the sharded simulator, live's per-shard
-// channels) shares.
-func ShardOf(item string, shards int) int { return ingest.ShardOf(item, shards) }
-
-// CoalesceTraces folds each trace's updates through batch windows of
-// batchTicks ticks (only the newest value per window survives; horizons
-// are preserved), returning the coalesced set and the folded count.
-func CoalesceTraces(traces []*Trace, batchTicks int) ([]*Trace, uint64) {
-	return ingest.CoalesceTraces(traces, batchTicks)
-}
-
 // Resilience layer ------------------------------------------------------
 
 type (
@@ -347,9 +297,6 @@ type (
 	Fault = resilience.Fault
 	// ResilienceConfig parameterizes heartbeats, detection and repair.
 	ResilienceConfig = resilience.Config
-	// ResilienceStats counts crashes, detections, repairs and recovery
-	// latency.
-	ResilienceStats = resilience.Stats
 	// ResilienceResult extends a push run result with resilience stats.
 	ResilienceResult = resilience.Result
 )
@@ -425,20 +372,17 @@ type (
 	// per-client coherency-filtered fan-out (Eq. 3 at the leaf), churn
 	// and crash-driven migration, and client-observed fidelity. It
 	// implements the run observers, so assign it to PushConfig.Observer
-	// (or ResilienceConfig.Observer) to serve a simulation's clients.
+	// (ResilienceConfig.Push.Observer under RunResilient) to serve a
+	// simulation's clients.
 	ClientFleet = serve.Fleet
 	// FleetOptions parameterizes a fleet (session cap, churn plan).
 	FleetOptions = serve.Options
-	// ClientStats is the serving layer's outcome: client-observed
-	// fidelity, redirect/migration counters, fan-out work.
-	ClientStats = serve.Stats
-	// ClientSession is one client's live subscription.
-	ClientSession = serve.Session
 	// RunObserver receives a simulation's source ticks and deliveries
-	// (PushConfig.Observer); ResilienceObserver additionally sees crashes
-	// and rejoins (ResilienceConfig.Observer).
+	// (PushConfig.Observer).
 	RunObserver = dissemination.Observer
-	// ResilienceObserver extends RunObserver with fault events.
+	// ResilienceObserver extends RunObserver with fault events: a
+	// PushConfig.Observer implementing it also sees the crashes and
+	// rejoins of a RunResilient run.
 	ResilienceObserver = resilience.Observer
 )
 
@@ -467,39 +411,17 @@ type (
 	// state — no per-session object, no goroutine — with the exact
 	// serving semantics of ClientFleet (filtering, resync, redirect,
 	// migration, fidelity; the two are parity-tested). It implements the
-	// run observers, so assign it to PushConfig.Observer (or
-	// ResilienceConfig.Observer) like a ClientFleet. Populate admits a
-	// synthetic population of millions without materializing clients;
-	// AttachAll admits a concrete Client slice.
+	// run observers, so assign it to PushConfig.Observer like a
+	// ClientFleet. Populate admits a synthetic population of millions
+	// without materializing clients; AttachAll admits a concrete Client
+	// slice.
 	VirtualFleet = vserve.Fleet
 	// VirtualFleetOptions parameterizes a virtual fleet (cap, churn plan,
 	// scenario, shard count, overflow ring, parallel delivery workers).
 	VirtualFleetOptions = vserve.Options
-	// VirtualStats extends ClientStats with shard count and measured
-	// resident bytes per session (Outcome.VServe carries one).
-	VirtualStats = vserve.Stats
 	// VirtualSynthetic parameterizes a compact synthetic population —
 	// the GenerateClients distribution without per-client objects.
 	VirtualSynthetic = vserve.Synthetic
-	// ScenarioSpec is a parsed scenario: flash crowds, correlated
-	// regional failures, diurnal load waves (Config.Scenario grammar).
-	ScenarioSpec = trace.ScenarioSpec
-	// ScenarioPlan is a scenario scheduled over a concrete population:
-	// per-session arrival/departure events plus repository faults.
-	ScenarioPlan = trace.ScenarioPlan
-	// ScenarioEvent is one session arrival or departure of a plan.
-	ScenarioEvent = trace.ScenarioEvent
-	// ScenarioFault is one scenario-driven repository failure.
-	ScenarioFault = trace.ScenarioFault
-	// PlacementIndex is the shared sharded nearest-k session placement
-	// index: delay-bucketed candidate orders per home endpoint with an
-	// optional consistent-hash overflow ring, making admission O(k)
-	// instead of a linear scan. Both fleets place through it.
-	PlacementIndex = place.Index
-	// PlacementOptions parameterizes the index's overflow ring.
-	PlacementOptions = place.Options
-	// PlacementState is the live cluster view a placement consults.
-	PlacementState = place.State
 )
 
 // NewVirtualFleet builds an empty virtual fleet over the repository
@@ -510,28 +432,6 @@ func NewVirtualFleet(net *Network, repos []*Repository, opts VirtualFleetOptions
 	return vserve.NewFleet(net, repos, opts)
 }
 
-// ParseScenario parses a scenario spec such as
-// "flash:at=0.3,frac=0.5,burst=0.2", "regional:at=0.4,frac=0.25,rejoin=0.7"
-// or "diurnal:waves=2,low=0.3". Empty and "none" return nil. The same
-// grammar feeds Config.Scenario and the -scenario command flags.
-func ParseScenario(spec string) (*ScenarioSpec, error) { return trace.ParseScenario(spec) }
-
-// BuildScenario schedules a parsed scenario over a concrete population:
-// deterministic per-session arrival/departure events (Pareto bursts,
-// cosine waves) and correlated repository faults.
-func BuildScenario(spec *ScenarioSpec, sessions, repos, ticks int, seed int64) (*ScenarioPlan, error) {
-	return trace.BuildScenario(spec, sessions, repos, ticks, seed)
-}
-
-// NewPlacementIndex builds a placement index over the network's first
-// `repos` endpoints.
-func NewPlacementIndex(net *Network, repos int, opts PlacementOptions) *PlacementIndex {
-	return place.New(net, repos, opts)
-}
-
-// PlacementKey hashes a session name to its stable placement key (FNV-1a).
-func PlacementKey(name string) uint32 { return place.Key(name) }
-
 // Query layer -----------------------------------------------------------
 
 type (
@@ -540,6 +440,7 @@ type (
 	// predicate) over input items, with a client tolerance cQ on the
 	// result. Query.Wants() is the tolerance allocation: the per-input
 	// subscription that makes coherent inputs imply a coherent result.
+	// live.Cluster.SubscribeQuery takes one.
 	Query = query.Query
 	// QueryKind is the query's combining operator.
 	QueryKind = query.Kind
@@ -548,17 +449,6 @@ type (
 	// QueryPlacement selects repository-side (default) or client-side
 	// evaluation.
 	QueryPlacement = query.Placement
-	// QueryEval is a query's incremental evaluator: current input copies,
-	// the window ring of per-tick aggregates, and eval/recompute counters.
-	QueryEval = query.Eval
-	// QueryServed is one query session served by a ClientFleet
-	// (ClientFleet.AttachQueries / QuerySession / QuerySessions).
-	QueryServed = serve.QuerySession
-	// QueryOutcome is one query's measured result (fidelity, input floor,
-	// message tallies); QueryServingStats aggregates the catalogue
-	// (Outcome.Queries carries one when Config.Queries is set).
-	QueryOutcome      = serve.QueryOutcome
-	QueryServingStats = serve.QueryStats
 )
 
 // Query operators.
@@ -586,8 +476,3 @@ func ParseQuery(spec string) (Query, error) { return query.Parse(spec) }
 
 // ParseQueryList parses a list of specs and names them q0, q1, ...
 func ParseQueryList(specs []string) ([]Query, error) { return query.ParseList(specs) }
-
-// NewQueryEval builds the incremental evaluator for a validated query —
-// the building block for custom runtimes; the live and netio runtimes
-// embed one per query session (SubscribeQuery).
-func NewQueryEval(q Query) *QueryEval { return query.NewEval(q) }

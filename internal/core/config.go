@@ -345,11 +345,7 @@ func (c Config) sessionPlan() (*resilience.Plan, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	interval := c.TickInterval
-	if interval <= 0 {
-		interval = sim.Second
-	}
-	return serve.ParseSessionPlan(c.SessionChurn, n, c.Ticks, interval, c.Seed+15)
+	return serve.ParseSessionPlan(c.SessionChurn, n, c.Ticks, c.interval(), c.Seed+15)
 }
 
 // clients generates the run's client population over the trace
@@ -373,14 +369,20 @@ func (c Config) clients(catalogue []string) ([]*repository.Client, error) {
 // faultPlan parses the configured failure-injection plan (nil when faults
 // are disabled).
 func (c Config) faultPlan() (*resilience.Plan, error) {
-	interval := c.TickInterval
-	if interval <= 0 {
-		interval = sim.Second // the workload generators' default
-	}
-	return resilience.ParsePlan(c.Faults, c.Repositories, c.Ticks, interval, c.Seed+12)
+	return resilience.ParsePlan(c.Faults, c.Repositories, c.Ticks, c.interval(), c.Seed+12)
 }
 
-// FaultsEnabled reports whether the run goes through the resilient runner.
+// interval is the trace tick interval every plan and fleet is scheduled
+// on: TickInterval, or the workload generators' default of one second.
+func (c Config) interval() sim.Time {
+	if c.TickInterval <= 0 {
+		return sim.Second
+	}
+	return c.TickInterval
+}
+
+// FaultsEnabled reports whether the run attaches the resilience layer
+// for a configured fault plan.
 func (c Config) FaultsEnabled() bool {
 	return c.Faults != "" && c.Faults != "none"
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"d3t/internal/dissemination"
 	"d3t/internal/ingest"
@@ -107,7 +106,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		// concrete fleet below over compact per-shard session state, for
 		// populations the concrete fleet cannot hold. Needs derive from
 		// the registered virtual population; scenario repository faults
-		// route the run through the resilient runner.
+		// attach the resilience layer to the run.
 		repos = cfg.bareRepositories()
 		plan, err := cfg.sessionPlan()
 		if err != nil {
@@ -117,10 +116,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		if err != nil {
 			return nil, err
 		}
-		interval := cfg.TickInterval
-		if interval <= 0 {
-			interval = sim.Second
-		}
+		interval := cfg.interval()
 		vopts := vserve.Options{
 			Cap: cfg.SessionCap, Plan: plan, Scenario: scen,
 			Interval: interval, Obs: cfg.Obs,
@@ -185,13 +181,9 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 				}
 			}
 		}
-		interval := cfg.TickInterval
-		if interval <= 0 {
-			interval = sim.Second
-		}
 		fleet, err = serve.NewFleet(net, repos, serve.Options{
 			Cap: cfg.SessionCap, Plan: plan, Obs: cfg.Obs,
-			Queries: queries, Interval: interval,
+			Queries: queries, Interval: cfg.interval(),
 		})
 		if err != nil {
 			return nil, err
@@ -246,8 +238,10 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 	}
 	if fleet != nil || vfleet != nil {
 		// The serving layer is fed by the initial values and the run's
-		// observable events; the overlay is built, so serving sets are
-		// final and admission checks see them.
+		// observable events — crashes and rejoins included, when the
+		// resilience layer is attached. It registers once, here: the
+		// overlay is built, so serving sets are final and admission checks
+		// see them.
 		initial := make(map[string]float64, len(traces))
 		for _, tr := range traces {
 			if tr.Len() > 0 {
@@ -281,38 +275,20 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 			return nil, err
 		}
 	} else if cfg.FaultsEnabled() || !scenFaults.Empty() || cfg.Durability.Enabled() {
-		// Route through the resilient runner: same fidelity machinery,
-		// plus fault injection, detection and backup-parent repair.
-		// Scenario repository faults (regional failures) fold into the
-		// configured fault plan.
+		// The same loop with the resilience layer attached: fault
+		// injection, heartbeats, detection, backup-parent repair and
+		// write-ahead logs. The serving fleet registered on pushCfg sees
+		// the crashes and rejoins too.
 		plan, err := cfg.faultPlan()
 		if err != nil {
 			return nil, err
 		}
-		if !scenFaults.Empty() {
-			if plan.Empty() {
-				plan = scenFaults
-			} else {
-				merged := &resilience.Plan{Spec: plan.Spec + "+" + scenFaults.Spec}
-				merged.Faults = append(append(merged.Faults, plan.Faults...), scenFaults.Faults...)
-				sort.SliceStable(merged.Faults, func(i, j int) bool {
-					return merged.Faults[i].At < merged.Faults[j].At
-				})
-				plan = merged
-			}
-		}
 		lela, _ := builder.(*tree.LeLA) // non-LeLA builders repair with defaults
-		resCfg := resilience.Config{
+		rr, err := resilience.Run(overlay, lela, traces, protocol, resilience.Config{
 			Push:       pushCfg,
 			DetectK:    cfg.DetectTicks,
 			Durability: cfg.Durability.walOptions(),
-		}
-		if fleet != nil {
-			resCfg.Observer = fleet
-		} else if vfleet != nil {
-			resCfg.Observer = vfleet
-		}
-		rr, err := resilience.Run(overlay, lela, traces, protocol, resCfg, plan)
+		}, plan.Merge(scenFaults))
 		if err != nil {
 			return nil, err
 		}
@@ -324,31 +300,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		}
 	}
 
-	var clientStats *serve.Stats
-	var queryStats *serve.QueryStats
-	var vserveStats *vserve.Stats
-	if fleet != nil {
-		st := fleet.Finalize(res.Horizon)
-		if cfg.ClientsEnabled() {
-			clientStats = &st
-		}
-		if cfg.QueriesEnabled() {
-			qst := fleet.FinalizeQueries(res.Horizon)
-			queryStats = &qst
-		}
-	}
-	if vfleet != nil {
-		st := vfleet.Finalize(res.Horizon)
-		vserveStats = &st
-	}
-
-	var obsSnap *obs.TreeSnapshot
-	if cfg.Obs != nil {
-		s := cfg.Obs.Snapshot(int64(res.Horizon))
-		obsSnap = &s
-	}
-
-	return &Outcome{
+	out := &Outcome{
 		Config:            cfg,
 		Fidelity:          res.Report.SystemFidelity(),
 		LossPercent:       res.Report.LossPercent(),
@@ -358,10 +310,25 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		Stats:             res.Stats,
 		SourceUtilization: res.SourceUtilization,
 		Resilience:        resStats,
-		Clients:           clientStats,
-		VServe:            vserveStats,
-		Queries:           queryStats,
 		Ingest:            ingestStats,
-		Obs:               obsSnap,
-	}, nil
+	}
+	if fleet != nil {
+		st := fleet.Finalize(res.Horizon)
+		if cfg.ClientsEnabled() {
+			out.Clients = &st
+		}
+		if cfg.QueriesEnabled() {
+			qst := fleet.FinalizeQueries(res.Horizon)
+			out.Queries = &qst
+		}
+	}
+	if vfleet != nil {
+		st := vfleet.Finalize(res.Horizon)
+		out.VServe = &st
+	}
+	if cfg.Obs != nil {
+		s := cfg.Obs.Snapshot(int64(res.Horizon))
+		out.Obs = &s
+	}
+	return out, nil
 }

@@ -59,7 +59,7 @@ type Runner struct {
 	nets   map[netKey]*memoEntry[*netsim.Network]
 	traces map[traceKey]*memoEntry[[]*trace.Trace]
 
-	// cache hit/miss counters, for tests and -progress reporting.
+	// cache hit/miss counters, for tests and -v reporting.
 	netBuilds, netHits     int
 	traceBuilds, traceHits int
 }

@@ -72,147 +72,73 @@ func (c PullConfig) withDefaults() PullConfig {
 	if c.Smoothing == 0 {
 		c.Smoothing = 0.5
 	}
-	switch {
-	case c.CompDelay == 0:
-		c.CompDelay = sim.Milliseconds(12.5)
-	case c.CompDelay < 0:
-		c.CompDelay = 0
-	}
+	c.CompDelay = defaultCompDelay(c.CompDelay)
 	return c
 }
 
 // RunPull simulates pull-based coherency over the overlay: every
 // repository refreshes each item it serves from its d3t parent on its TTR
 // schedule. Each poll costs two messages (request and response). Fidelity
-// is measured exactly as in the push runner.
+// is measured exactly as in the push runner — on the same run frame.
 func RunPull(o *tree.Overlay, traces []*trace.Trace, cfg PullConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("dissemination: no traces to run")
-	}
-	initial := make(map[string]float64, len(traces))
-	var horizon sim.Time
-	for _, tr := range traces {
-		if tr.Len() == 0 {
-			return nil, fmt.Errorf("dissemination: trace %s is empty", tr.Item)
-		}
-		initial[tr.Item] = tr.Ticks[0].Value
-		if end := tr.Ticks[tr.Len()-1].At; end > horizon {
-			horizon = end
-		}
+	f, err := newFrame(o, traces, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 
-	engine := sim.New()
-	stations := make([]sim.Station, len(o.Nodes))
 	// values[node][item] is the node's current copy. The source's entry
 	// tracks the trace exactly.
 	values := make([]map[string]float64, len(o.Nodes))
 	for i, n := range o.Nodes {
 		values[i] = make(map[string]float64)
 		if n.IsSource() {
-			for x, v := range initial {
+			for x, v := range f.initial {
 				values[i][x] = v
 			}
 			continue
 		}
 		for _, x := range n.Items() {
-			values[i][x] = initial[x]
+			values[i][x] = f.initial[x]
 		}
 	}
-
-	trackers := make(map[string]map[repository.ID]*coherency.Tracker)
-	var all []struct {
-		repo repository.ID
-		tr   *coherency.Tracker
-	}
-	for _, n := range o.Repos() {
-		for _, x := range n.NeededItems() {
-			c := n.Needs[x]
-			if _, ok := initial[x]; !ok {
-				return nil, fmt.Errorf("dissemination: repository %d needs item %s with no trace", n.ID, x)
-			}
-			t := coherency.NewTracker(c, 0, initial[x])
-			if trackers[x] == nil {
-				trackers[x] = make(map[repository.ID]*coherency.Tracker)
-			}
-			trackers[x][n.ID] = t
-			all = append(all, struct {
-				repo repository.ID
-				tr   *coherency.Tracker
-			}{n.ID, t})
-		}
-	}
-
-	var stats Stats
 
 	// Source ticks just update the source copy (and the trackers).
-	for _, tr := range traces {
-		last := tr.Ticks[0].Value
-		for _, tk := range tr.Ticks[1:] {
-			if tk.Value == last {
-				continue
-			}
-			last = tk.Value
-			item, v := tr.Item, tk.Value
-			engine.At(tk.At, func(now sim.Time) {
-				stats.SourceTicks++
-				values[repository.SourceID][item] = v
-				for _, t := range trackers[item] {
-					t.SourceUpdate(now, v)
-				}
-			})
-		}
-	}
+	f.scheduleSource(func(_ sim.Time, item string, v float64) {
+		values[repository.SourceID][item] = v
+	})
 
 	// One poller per (repository, served item): ask the parent, refresh,
 	// reschedule.
 	for _, n := range o.Repos() {
-		n := n
 		for _, x := range n.Items() {
-			x := x
 			pid, ok := n.Parents[x]
 			if !ok {
 				return nil, fmt.Errorf("dissemination: repository %d serves %s with no parent", n.ID, x)
 			}
 			c, _ := n.ServingTolerance(x)
 			p := &poller{
-				engine: engine, stations: stations, values: values,
-				trackers: trackers, stats: &stats, cfg: cfg,
+				frame: f, values: values, cfg: cfg,
 				node: n, parent: pid, item: x, c: c,
 				rtt: o.Net.Delay[n.ID][pid],
-				ttr: cfg.TTR, lastVal: initial[x],
+				ttr: cfg.TTR, lastVal: f.initial[x],
 			}
 			// Stagger first polls across the interval to avoid a thundering
 			// herd at t=0 (deterministic: by node and item index).
 			offset := sim.Time((int64(n.ID)*7919 + int64(len(x))) % int64(cfg.TTR))
-			engine.At(offset, p.poll)
+			f.engine.At(offset, p.poll)
 		}
 	}
 
-	engine.RunUntil(horizon)
-
-	report := coherency.NewReport()
-	for _, rt := range all {
-		report.Add(int(rt.repo), rt.tr.Fidelity(horizon))
-	}
-	stats.Events = engine.Processed()
-	return &Result{
-		Protocol:          cfg.Mode.String(),
-		Report:            report,
-		Stats:             stats,
-		Horizon:           horizon,
-		SourceUtilization: stations[repository.SourceID].Utilization(horizon),
-	}, nil
+	return f.run(cfg.Mode.String()), nil
 }
 
-// poller is the per-(repository, item) pull state machine.
+// poller is the per-(repository, item) pull state machine over the
+// shared run frame (engine, stations, trackers, counters).
 type poller struct {
-	engine   *sim.Engine
-	stations []sim.Station
-	values   []map[string]float64
-	trackers map[string]map[repository.ID]*coherency.Tracker
-	stats    *Stats
-	cfg      PullConfig
+	*frame
+	values []map[string]float64
+	cfg    PullConfig
 
 	node   *repository.Repository
 	parent repository.ID
@@ -247,7 +173,7 @@ func (p *poller) receive(now sim.Time, v float64) {
 	p.stats.Deliveries++
 	if v != p.values[p.node.ID][p.item] {
 		p.values[p.node.ID][p.item] = v
-		if t := p.trackers[p.item][p.node.ID]; t != nil {
+		if t := p.byRepo[p.item][p.node.ID]; t != nil {
 			t.RepoUpdate(now, v)
 		}
 	}

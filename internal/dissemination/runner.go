@@ -55,11 +55,6 @@ type Config struct {
 	Obs *obs.Tree
 }
 
-// accepts reports whether the configured item filter admits the item.
-func (c Config) accepts(item string) bool {
-	return c.ItemFilter == nil || c.ItemFilter(item)
-}
-
 // Observer receives the run's observable events in simulation order. The
 // engine is single-threaded, so implementations need no locking.
 type Observer interface {
@@ -69,19 +64,18 @@ type Observer interface {
 	ObserveDeliver(now sim.Time, repo repository.ID, item string, v float64)
 }
 
-// WithDefaults resolves the config's delay conventions: zero CompDelay
-// means the paper's 12.5 ms; negative means "explicitly zero" (the
-// ideal-conditions runs that verify the 100%-fidelity guarantees use
-// it). Exported so alternative runners (resilience) share the exact same
-// defaulting.
-func (c Config) WithDefaults() Config {
+// defaultCompDelay resolves the delay convention push and pull configs
+// share: zero means the paper's 12.5 ms; negative means "explicitly
+// zero" (the ideal-conditions runs that verify the 100%-fidelity
+// guarantees use it).
+func defaultCompDelay(d sim.Time) sim.Time {
 	switch {
-	case c.CompDelay == 0:
-		c.CompDelay = sim.Milliseconds(12.5)
-	case c.CompDelay < 0:
-		c.CompDelay = 0
+	case d == 0:
+		return sim.Milliseconds(12.5)
+	case d < 0:
+		return 0
 	}
-	return c
+	return d
 }
 
 // Stats counts the work a run performed.
@@ -119,98 +113,102 @@ type Result struct {
 	SourceUtilization float64
 }
 
-// Run simulates pushing the traces through the overlay with the given
-// protocol and returns fidelity and work statistics. The overlay must
-// contain a parent path for every needed item (tree builders guarantee
-// this; Run validates lazily by panicking inside the engine otherwise).
-//
-// Time zero holds the initial value of every trace at every node; fidelity
-// is observed from time zero to the last trace tick.
-func Run(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Result, error) {
-	cfg = cfg.WithDefaults()
+// frame is the run frame every simulation shares — push (Run), push
+// under faults (resilience.Run, through Loop) and pull (RunPull): trace
+// validation, initial values and horizon, the engine and per-node
+// stations, one fidelity tracker per (repository, needed item) pair,
+// the source-tick schedule and the result assembly.
+type frame struct {
+	engine   *sim.Engine
+	stations []sim.Station
+	traces   []*trace.Trace
+	initial  map[string]float64
+	horizon  sim.Time
+	// accepts admits the items the run covers (nil: all of them); tick
+	// is the runner's share of a source tick (see scheduleSource).
+	accepts func(item string) bool
+	tick    func(now sim.Time, item string, v float64)
+	// trackers lists each item's interested repositories; byRepo indexes
+	// the same trackers by (item, repository) for the delivery path.
+	trackers map[string][]repoTracker
+	byRepo   map[string]map[repository.ID]*coherency.Tracker
+	stats    Stats
+}
+
+type repoTracker struct {
+	repo repository.ID
+	tr   *coherency.Tracker
+}
+
+// newFrame validates the traces and builds the frame. Time zero holds
+// the initial value of every trace at every node; fidelity is observed
+// from time zero to the last trace tick, at each repository's own
+// client-facing tolerance. accepts restricts tracking and source ticks
+// to the items it admits; with ot set, every tracker reports its
+// violation durations to its repository's observer.
+func newFrame(o *tree.Overlay, traces []*trace.Trace, accepts func(string) bool, ot *obs.Tree) (*frame, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("dissemination: no traces to run")
 	}
-
-	// Initial values and observation horizon.
-	initial := make(map[string]float64, len(traces))
-	var horizon sim.Time
+	f := &frame{
+		engine:   sim.New(),
+		stations: make([]sim.Station, len(o.Nodes)),
+		traces:   traces,
+		initial:  make(map[string]float64, len(traces)),
+		accepts:  accepts,
+		trackers: make(map[string][]repoTracker),
+		byRepo:   make(map[string]map[repository.ID]*coherency.Tracker),
+	}
 	for _, tr := range traces {
 		if tr.Len() == 0 {
 			return nil, fmt.Errorf("dissemination: trace %s is empty", tr.Item)
 		}
-		if _, dup := initial[tr.Item]; dup {
+		if _, dup := f.initial[tr.Item]; dup {
 			return nil, fmt.Errorf("dissemination: duplicate trace for item %s", tr.Item)
 		}
-		initial[tr.Item] = tr.Ticks[0].Value
-		if end := tr.Ticks[tr.Len()-1].At; end > horizon {
-			horizon = end
+		f.initial[tr.Item] = tr.Ticks[0].Value
+		if end := tr.Ticks[tr.Len()-1].At; end > f.horizon {
+			f.horizon = end
 		}
 	}
-
-	p.Init(o, initial)
-	if cfg.Obs != nil {
-		// Protocols carrying node cores (the distributed algorithm) attach
-		// per-node observers so the decision counters land in obs too.
-		if po, ok := p.(interface{ SetObs(*obs.Tree) }); ok {
-			po.SetObs(cfg.Obs)
-		}
-	}
-
-	// Fidelity trackers for every (repository, needed item) pair, at the
-	// repository's own client-facing tolerance.
-	trackers := make(map[string][]repoTracker) // item -> interested repositories
-	byRepo := make(map[string]map[repository.ID]*coherency.Tracker)
 	for _, n := range o.Repos() {
 		for _, x := range n.NeededItems() {
-			if !cfg.accepts(x) {
+			if accepts != nil && !accepts(x) {
 				continue
 			}
-			c := n.Needs[x]
-			v, ok := initial[x]
+			v, ok := f.initial[x]
 			if !ok {
 				return nil, fmt.Errorf("dissemination: repository %d needs item %s with no trace", n.ID, x)
 			}
-			t := coherency.NewTracker(c, 0, v)
-			if cfg.Obs != nil {
-				on := cfg.Obs.Node(n.ID)
+			t := coherency.NewTracker(n.Needs[x], 0, v)
+			if ot != nil {
+				on := ot.Node(n.ID)
 				t.OnViolationEnd = func(start, end sim.Time) {
 					on.ObserveViolation(int64(end - start))
 				}
 			}
-			trackers[x] = append(trackers[x], repoTracker{repo: n.ID, tr: t})
-			m := byRepo[x]
+			f.trackers[x] = append(f.trackers[x], repoTracker{repo: n.ID, tr: t})
+			m := f.byRepo[x]
 			if m == nil {
 				m = make(map[repository.ID]*coherency.Tracker)
-				byRepo[x] = m
+				f.byRepo[x] = m
 			}
 			m[n.ID] = t
 		}
 	}
+	return f, nil
+}
 
-	r := &runner{
-		overlay:  o,
-		cfg:      cfg,
-		engine:   sim.New(),
-		protocol: p,
-		stations: make([]sim.Station, len(o.Nodes)),
-		trackers: trackers,
-		byRepo:   byRepo,
-	}
-	if cfg.Obs != nil {
-		// Node ids are dense (stations are indexed by them), so the per-id
-		// observer lookup on the delivery path is a slice read.
-		r.obsNodes = make([]*obs.Node, len(o.Nodes))
-		for id := range r.obsNodes {
-			r.obsNodes[id] = cfg.Obs.Node(repository.ID(id))
-		}
-		r.tracer = cfg.Obs.TracerOrNil()
-	}
-
-	// Schedule the source-side trace ticks. Quiet ticks (no value change)
-	// cost nothing: the paper's sources react to new data values.
-	for _, tr := range traces {
-		if !cfg.accepts(tr.Item) {
+// scheduleSource queues one event per value-changing tick of every
+// accepted trace: it counts the tick, moves the item's trackers, then
+// hands the new value to tick. Quiet ticks (no value change) cost
+// nothing: the paper's sources react to new data values. tick lives on
+// the frame, not in the closures: there is one per tick of the whole
+// trace set, and a fifth captured word would move each up a size class.
+func (f *frame) scheduleSource(tick func(now sim.Time, item string, v float64)) {
+	f.tick = tick
+	for _, tr := range f.traces {
+		if f.accepts != nil && !f.accepts(tr.Item) {
 			continue
 		}
 		last := tr.Ticks[0].Value
@@ -220,52 +218,151 @@ func Run(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Resul
 			}
 			last = tk.Value
 			item, v := tr.Item, tk.Value
-			r.engine.At(tk.At, func(now sim.Time) { r.sourceTick(now, item, v) })
+			f.engine.At(tk.At, func(now sim.Time) {
+				f.stats.SourceTicks++
+				for _, rt := range f.trackers[item] {
+					rt.tr.SourceUpdate(now, v)
+				}
+				f.tick(now, item, v)
+			})
 		}
 	}
+}
 
-	r.engine.RunUntil(horizon)
-
+// run advances the clock to the horizon and assembles the result: the
+// fidelity report in sorted item order (so per-repository means sum in
+// one order whatever the map iteration), the counters, and the source's
+// busy fraction.
+func (f *frame) run(protocol string) *Result {
+	f.engine.RunUntil(f.horizon)
 	report := coherency.NewReport()
-	items := make([]string, 0, len(trackers))
-	for x := range trackers {
+	items := make([]string, 0, len(f.trackers))
+	for x := range f.trackers {
 		items = append(items, x)
 	}
 	sort.Strings(items)
 	for _, x := range items {
-		for _, rt := range trackers[x] {
-			report.Add(int(rt.repo), rt.tr.Fidelity(horizon))
+		for _, rt := range f.trackers[x] {
+			report.Add(int(rt.repo), rt.tr.Fidelity(f.horizon))
 		}
 	}
-	r.stats.Events = r.engine.Processed()
+	f.stats.Events = f.engine.Processed()
 	return &Result{
-		Protocol:          p.Name(),
+		Protocol:          protocol,
 		Report:            report,
-		Stats:             r.stats,
-		Horizon:           horizon,
-		SourceUtilization: r.stations[repository.SourceID].Utilization(horizon),
-	}, nil
+		Stats:             f.stats,
+		Horizon:           f.horizon,
+		SourceUtilization: f.stations[repository.SourceID].Utilization(f.horizon),
+	}
 }
 
-type repoTracker struct {
-	repo repository.ID
-	tr   *coherency.Tracker
+// Layer is the seam failure machinery attaches to the push loop through
+// (internal/resilience is the one implementation). The loop stays the
+// only owner of the event path and the cost model; a layer sees four
+// calls — these three hooks plus Loop.Resync — and schedules whatever
+// else it needs (crashes, heartbeats, watchdogs) as its own events.
+type Layer interface {
+	// Start runs once, after the source ticks are queued and before the
+	// clock starts: the layer schedules its own events with Loop.At.
+	// Insertion order breaks timestamp ties, so a layer event at time t
+	// runs after the source tick at t.
+	Start(l *Loop)
+	// Admit gates a copy on arrival at node to over the edge from its
+	// sender. A refused copy is dropped before the trackers, the
+	// observers, the protocol and Applied see it.
+	Admit(now sim.Time, to, from repository.ID) bool
+	// Applied runs after the protocol applied a value at node id — a
+	// delivered copy at a repository, a tick at the source — and before
+	// the resulting copies are dispatched.
+	Applied(now sim.Time, id repository.ID, item string, v float64)
 }
 
-// runner is the per-run simulation state.
-type runner struct {
+// Loop is the one simulation loop of the push path: source tick →
+// deliver → dispatch → send over the frame's engine, with the latency /
+// queueing service models of Config.
+type Loop struct {
+	*frame
 	overlay  *tree.Overlay
 	cfg      Config
-	engine   *sim.Engine
 	protocol Protocol
-	stations []sim.Station
-	trackers map[string][]repoTracker
-	byRepo   map[string]map[repository.ID]*coherency.Tracker
-	stats    Stats
+	layer    Layer
 	// obsNodes (indexed by node id) and tracer are non-nil only when
 	// cfg.Obs is set; the delivery path guards with one nil check.
 	obsNodes []*obs.Node
 	tracer   *obs.Tracer
+}
+
+// NewLoop validates the run, builds its frame and initializes the
+// protocol; nothing is scheduled yet, so a caller attaching a Layer can
+// restore state into the protocol before Run starts the clock. The
+// overlay must contain a parent path for every needed item (tree
+// builders guarantee this; the loop validates lazily by panicking inside
+// the engine otherwise).
+func NewLoop(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Loop, error) {
+	cfg.CompDelay = defaultCompDelay(cfg.CompDelay)
+	f, err := newFrame(o, traces, cfg.ItemFilter, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	p.Init(o, f.initial)
+	l := &Loop{frame: f, overlay: o, cfg: cfg, protocol: p}
+	if cfg.Obs != nil {
+		// Protocols carrying node cores (the distributed algorithm) attach
+		// per-node observers so the decision counters land in obs too.
+		if po, ok := p.(interface{ SetObs(*obs.Tree) }); ok {
+			po.SetObs(cfg.Obs)
+		}
+		// Node ids are dense (stations are indexed by them), so the per-id
+		// observer lookup on the delivery path is a slice read.
+		l.obsNodes = make([]*obs.Node, len(o.Nodes))
+		for id := range l.obsNodes {
+			l.obsNodes[id] = cfg.Obs.Node(repository.ID(id))
+		}
+		l.tracer = cfg.Obs.TracerOrNil()
+	}
+	return l, nil
+}
+
+// Run queues the source ticks, starts the layer (nil runs without one),
+// runs the clock to the horizon and returns fidelity and work
+// statistics.
+func (l *Loop) Run(layer Layer) *Result {
+	l.layer = layer
+	l.scheduleSource(l.sourceTick)
+	if layer != nil {
+		layer.Start(l)
+	}
+	return l.run(l.protocol.Name())
+}
+
+// Run simulates pushing the traces through the overlay with the given
+// protocol and returns fidelity and work statistics.
+func Run(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Result, error) {
+	l, err := NewLoop(o, traces, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.Run(nil), nil
+}
+
+// At schedules a layer's own event on the loop's clock.
+func (l *Loop) At(t sim.Time, fn func(now sim.Time)) { l.engine.At(t, fn) }
+
+// Resync ships one copy of (item, v) from node from to its dependent to
+// outside the protocol's filter — the catch-up push after a re-homing.
+// The protocol's per-edge filter state (Distributed and its naive
+// variant keep some; stateless protocols need nothing) is re-seeded to
+// the synced value first: a revived edge would otherwise filter against
+// its pre-crash state and withhold updates. The copy then goes through
+// the normal cost model with no checks charged — it queues at the
+// sender's station like any other copy.
+func (l *Loop) Resync(now sim.Time, from, to repository.ID, item string, v float64) {
+	if er, ok := l.protocol.(interface {
+		ResetEdge(from, to repository.ID, x string, v float64)
+	}); ok {
+		er.ResetEdge(from, to, item, v)
+	}
+	l.dispatch(now, l.overlay.Node(from), item, v, []Forward{{To: to}}, 0, emeta{born: now})
 }
 
 // emeta is the observability context riding alongside an update through
@@ -277,45 +374,50 @@ type emeta struct {
 }
 
 // sourceTick handles a changed value arriving at the source.
-func (r *runner) sourceTick(now sim.Time, item string, v float64) {
-	r.stats.SourceTicks++
-	for _, rt := range r.trackers[item] {
-		rt.tr.SourceUpdate(now, v)
-	}
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveSource(now, item, v)
+func (l *Loop) sourceTick(now sim.Time, item string, v float64) {
+	if l.cfg.Observer != nil {
+		l.cfg.Observer.ObserveSource(now, item, v)
 	}
 	m := emeta{born: now}
-	if r.tracer != nil {
-		m.tid = r.tracer.Sample(item, repository.SourceID, int64(now))
+	if l.tracer != nil {
+		m.tid = l.tracer.Sample(item, repository.SourceID, int64(now))
 	}
-	fwd, checks := r.protocol.AtSource(item, v)
-	r.stats.SourceChecks += uint64(checks)
-	r.dispatch(now, r.overlay.Source(), item, v, fwd, checks, m)
+	fwd, checks := l.protocol.AtSource(item, v)
+	if l.layer != nil {
+		l.layer.Applied(now, repository.SourceID, item, v)
+	}
+	l.stats.SourceChecks += uint64(checks)
+	l.dispatch(now, l.overlay.Source(), item, v, fwd, checks, m)
 }
 
 // deliver handles an update copy arriving at a repository: record it for
 // fidelity, then let the protocol fan it out further. hop is the
 // propagation delay since the copy's sender received (or sourced) the
 // update, from is the sender — the edge the copy arrived over.
-func (r *runner) deliver(now sim.Time, node *repository.Repository, item string, v float64, tag coherency.Requirement, from repository.ID, hop sim.Time, m emeta) {
-	r.stats.Deliveries++
-	if t := r.byRepo[item][node.ID]; t != nil {
+func (l *Loop) deliver(now sim.Time, node *repository.Repository, item string, v float64, tag coherency.Requirement, from repository.ID, hop sim.Time, m emeta) {
+	if l.layer != nil && !l.layer.Admit(now, node.ID, from) {
+		return
+	}
+	l.stats.Deliveries++
+	if t := l.byRepo[item][node.ID]; t != nil {
 		t.RepoUpdate(now, v)
 	}
-	if r.obsNodes != nil {
-		on := r.obsNodes[node.ID]
+	if l.obsNodes != nil {
+		on := l.obsNodes[node.ID]
 		on.ObserveHop(int64(hop))
 		on.ObserveSourceLatency(int64(now - m.born))
 		on.ObserveEdgeDelay(from, int64(hop))
-		r.tracer.Hop(m.tid, node.ID, int64(now))
+		l.tracer.Hop(m.tid, node.ID, int64(now))
 	}
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveDeliver(now, node.ID, item, v)
+	if l.cfg.Observer != nil {
+		l.cfg.Observer.ObserveDeliver(now, node.ID, item, v)
 	}
-	fwd, checks := r.protocol.AtRepo(node, item, v, tag)
-	r.stats.RepoChecks += uint64(checks)
-	r.dispatch(now, node, item, v, fwd, checks, m)
+	fwd, checks := l.protocol.AtRepo(node, item, v, tag)
+	if l.layer != nil {
+		l.layer.Applied(now, node.ID, item, v)
+	}
+	l.stats.RepoChecks += uint64(checks)
+	l.dispatch(now, node, item, v, fwd, checks, m)
 }
 
 // dispatch charges the node's computational delays for the checks and
@@ -328,30 +430,30 @@ func (r *runner) deliver(now sim.Time, node *repository.Repository, item string,
 // effect of Section 3 — without successive updates queueing. In the
 // queueing model the node is a strict serial server and backlog carries
 // across updates.
-func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []Forward, checks int, m emeta) {
-	st := &r.stations[from.ID]
+func (l *Loop) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []Forward, checks int, m emeta) {
+	st := &l.stations[from.ID]
 	var preamble sim.Time
-	if extra := checks - len(fwd); extra > 0 && r.cfg.CheckFrac > 0 {
-		preamble = sim.Time(float64(r.cfg.CompDelay) * r.cfg.CheckFrac * float64(extra))
+	if extra := checks - len(fwd); extra > 0 && l.cfg.CheckFrac > 0 {
+		preamble = sim.Time(float64(l.cfg.CompDelay) * l.cfg.CheckFrac * float64(extra))
 	}
-	if r.cfg.Queueing {
+	if l.cfg.Queueing {
 		if preamble > 0 {
 			st.Acquire(now, preamble)
 		}
 		for _, f := range fwd {
-			done := st.Acquire(now, r.cfg.CompDelay)
-			r.send(done, now, from, item, v, f, m)
+			done := st.Acquire(now, l.cfg.CompDelay)
+			l.send(done, now, from, item, v, f, m)
 		}
 		return
 	}
 	// Latency model: account the work for utilization reporting, then
 	// schedule departures relative to the update's arrival only.
-	st.Busy += preamble + sim.Time(len(fwd))*r.cfg.CompDelay
+	st.Busy += preamble + sim.Time(len(fwd))*l.cfg.CompDelay
 	st.Jobs++
 	depart := now + preamble
 	for _, f := range fwd {
-		depart += r.cfg.CompDelay
-		r.send(depart, now, from, item, v, f, m)
+		depart += l.cfg.CompDelay
+		l.send(depart, now, from, item, v, f, m)
 	}
 }
 
@@ -360,19 +462,20 @@ func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string
 // update — the anchor of the hop-delay measurement, so a hop includes
 // the sender's computational delay exactly as a wall-clock backend
 // would observe it.
-func (r *runner) send(depart, recvAt sim.Time, from *repository.Repository, item string, v float64, f Forward, m emeta) {
-	r.stats.Messages++
-	to := r.overlay.Node(f.To)
-	arrive := depart + r.overlay.Net.Delay[from.ID][f.To]
+func (l *Loop) send(depart, recvAt sim.Time, from *repository.Repository, item string, v float64, f Forward, m emeta) {
+	l.stats.Messages++
+	to := l.overlay.Node(f.To)
+	arrive := depart + l.overlay.Net.Delay[from.ID][f.To]
 	tag := f.Tag
-	if r.obsNodes == nil {
-		// Without obs the delivery closure must not grow: every in-flight
-		// copy is one of these, and capturing the hop metadata here costs
-		// ~32 B per message across the whole simulation.
-		r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, item, v, tag, 0, 0, emeta{}) })
+	if l.obsNodes == nil && l.layer == nil {
+		// With neither obs nor a layer attached nobody reads the edge or
+		// hop metadata, and the delivery closure must not grow: every
+		// in-flight copy is one of these, and capturing the metadata here
+		// costs ~32 B per message across the whole simulation.
+		l.engine.At(arrive, func(t sim.Time) { l.deliver(t, to, item, v, tag, 0, 0, emeta{}) })
 		return
 	}
 	fromID := from.ID
 	hop := arrive - recvAt
-	r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, item, v, tag, fromID, hop, m) })
+	l.engine.At(arrive, func(t sim.Time) { l.deliver(t, to, item, v, tag, fromID, hop, m) })
 }

@@ -6,19 +6,17 @@ import (
 	"sync"
 
 	dnode "d3t/internal/node"
-	"d3t/internal/repository"
 	"d3t/internal/tree"
-	"d3t/internal/wal"
 )
 
 // This file is the live transport's durability layer: NewDurableCluster
 // recovers every (node, shard) core from its write-ahead log directory
-// before the goroutines start, and walState is the snapshot callback the
-// group commit in handleBatch rotates through. A repository process that
-// dies and is rebuilt over the same directory resumes with its exact
-// pre-crash values and edge filter state — the first post-recovery push
-// is then suppressed or forwarded by Eqs. 3+7 as if the crash never
-// happened, instead of the cold rejoin that re-pushes everything.
+// before the goroutines start, so a rebuilt repository resumes with its
+// exact pre-crash values and edge filter state instead of rejoining cold.
+// The glue is node.Durable (which also states the log-after-apply rule
+// handleBatch follows); live's share is the directory naming,
+// Dir/repoNNN/shardMM, and the lock: every call on a shard's Durable
+// happens under that shard's mutex.
 
 // NewDurableCluster builds (but does not start) a live cluster whose
 // per-shard cores are backed by write-ahead logs under
@@ -30,7 +28,11 @@ func NewDurableCluster(o *tree.Overlay, opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("live: NewDurableCluster needs Options.Durability")
 	}
 	c := NewCluster(o, opts)
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		errMu   sync.Mutex
+		openErr error
+	)
 	for _, n := range c.nodes {
 		for si, sh := range n.shards {
 			n, si, sh := n, si, sh
@@ -39,101 +41,66 @@ func NewDurableCluster(o *tree.Overlay, opts Options) (*Cluster, error) {
 				defer wg.Done()
 				dir := filepath.Join(opts.Durability.Dir,
 					fmt.Sprintf("repo%03d", n.repo.ID), fmt.Sprintf("shard%02d", si))
-				wopts := *opts.Durability
-				log, rec, err := wal.Open(dir, wopts)
+				// A sharded node serves sessions from its dedicated serve-only
+				// core; it gets the recovered values too, so a late
+				// subscriber's admission resync pushes pre-crash state, not
+				// zeroes.
+				var recovered map[string]float64
+				if n.sessCore != nil {
+					recovered = make(map[string]float64)
+				}
+				sh.mu.Lock()
+				dur, _, err := dnode.OpenDurable(dir, *opts.Durability, sh.core, recovered)
+				sh.dur = dur
+				sh.mu.Unlock()
 				if err != nil {
-					c.noteWALErr(err)
+					errMu.Lock()
+					if openErr == nil {
+						openErr = err
+					}
+					errMu.Unlock()
 					return
 				}
-				sh.restore(rec)
-				sh.mu.Lock()
-				sh.log = log
-				sh.mu.Unlock()
+				n.mu.Lock()
+				for item, v := range recovered {
+					n.sessCore.SetValue(item, v)
+				}
+				n.mu.Unlock()
 			}()
 		}
 	}
 	wg.Wait()
-	if err := c.DurabilityErr(); err != nil {
-		for _, n := range c.nodes {
-			for _, sh := range n.shards {
-				sh.mu.Lock()
-				if sh.log != nil {
-					sh.log.Close()
-				}
-				sh.mu.Unlock()
-			}
-		}
-		return nil, err
-	}
-	// A sharded node serves sessions from its dedicated serve-only core;
-	// hand it the recovered values so a late subscriber's admission resync
-	// pushes pre-crash state, not zeroes.
-	for _, n := range c.nodes {
-		if n.sessCore == nil {
-			continue
-		}
-		for _, sh := range n.shards {
-			sh.mu.Lock()
-			sh.core.DumpDurable(func(item string, v float64) {
-				n.mu.Lock()
-				n.sessCore.SetValue(item, v)
-				n.mu.Unlock()
-			}, nil)
-			sh.mu.Unlock()
-		}
+	if openErr != nil {
+		c.closeLogs()
+		return nil, openErr
 	}
 	return c, nil
 }
 
-// restore puts a recovery into the shard's core: the snapshot state
-// verbatim, then the logged batches replayed through the core's normal
-// Apply pipeline so the edge filter decisions replay too.
-func (sh *nodeShard) restore(rec *wal.Recovered) {
-	if rec.Empty() {
-		return
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for item, v := range rec.State.Values {
-		sh.core.SetValue(item, v)
-	}
-	for _, e := range rec.State.Edges {
-		sh.core.RestoreEdge(repository.ID(e.Dep), e.Item, e.Last, e.Seeded)
-	}
-	for _, b := range rec.Batches {
-		for _, u := range b {
-			sh.core.Apply(u.Item, u.Value, dnode.ReplayTransport{})
+// eachLog calls fn on every shard's write-ahead log glue (nil without
+// durability), under the shard mutex that guards it.
+func (c *Cluster) eachLog(fn func(d *dnode.Durable)) {
+	for _, n := range c.nodes {
+		for _, sh := range n.shards {
+			sh.mu.Lock()
+			fn(sh.dur)
+			sh.mu.Unlock()
 		}
 	}
 }
 
-// walState dumps the shard core's durable state for a snapshot rotation.
-// The caller (Commit inside handleBatch) holds sh.mu, the lock that
-// guards both the core and the log.
-func (sh *nodeShard) walState() wal.State {
-	st := wal.State{Values: make(map[string]float64)}
-	sh.core.DumpDurable(
-		func(item string, v float64) { st.Values[item] = v },
-		func(dep repository.ID, item string, last float64, seeded bool) {
-			st.Edges = append(st.Edges, wal.Edge{Dep: int64(dep), Item: item, Last: last, Seeded: seeded})
-		})
-	return st
-}
+// closeLogs closes every shard's write-ahead log.
+func (c *Cluster) closeLogs() { c.eachLog((*dnode.Durable).Close) }
 
-// noteWALErr latches the first write-ahead-log failure.
-func (c *Cluster) noteWALErr(err error) {
-	c.walMu.Lock()
-	if c.walErr == nil {
-		c.walErr = err
-	}
-	c.walMu.Unlock()
-}
-
-// DurabilityErr reports the first write-ahead-log failure the cluster
-// hit, or nil. After a non-nil error, commits may be missing from what a
-// recovery over the same directories replays.
+// DurabilityErr reports a write-ahead-log failure the cluster hit (each
+// shard latches its first), or nil. After a non-nil error, commits may
+// be missing from what a recovery over the same directories replays.
 func (c *Cluster) DurabilityErr() error {
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	return c.walErr
+	var err error
+	c.eachLog(func(d *dnode.Durable) {
+		if err == nil {
+			err = d.Err()
+		}
+	})
+	return err
 }

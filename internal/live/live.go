@@ -135,12 +135,6 @@ type Cluster struct {
 	sessionRedirects  int
 	sessionMigrations int
 
-	// walMu guards walErr, the first write-ahead-log failure any shard
-	// hit; a failing log means subsequent commits may be missing from a
-	// recovery, so the error is latched for DurabilityErr.
-	walMu  sync.Mutex
-	walErr error
-
 	closeOnce sync.Once
 }
 
@@ -203,9 +197,9 @@ type nodeShard struct {
 	in   chan batch
 	out  map[repository.ID]chan batch
 	tr   transport
-	// log is the shard's write-ahead log (nil without durability); it is
-	// guarded by mu, the same lock that guards the core it shadows.
-	log *wal.Log
+	// dur is the shard's write-ahead log glue (nil without durability);
+	// it is guarded by mu, the same lock that guards the core it shadows.
+	dur *dnode.Durable
 	// sends is the worker's per-dependent grouping scratch, reused across
 	// handleBatch passes (only the shard's own worker touches it). The
 	// ups slices inside are NOT reused: ownership transfers to the
@@ -490,17 +484,7 @@ func (c *Cluster) forwardLoop(ch chan batch, child *node, shard int) {
 func (c *Cluster) Stop() {
 	c.closeOnce.Do(func() { close(c.done) })
 	c.wg.Wait()
-	for _, n := range c.nodes {
-		for _, sh := range n.shards {
-			sh.mu.Lock()
-			if sh.log != nil {
-				if err := sh.log.Close(); err != nil {
-					c.noteWALErr(err)
-				}
-			}
-			sh.mu.Unlock()
-		}
-	}
+	c.closeLogs()
 }
 
 // Publish injects a new value of item at the source. It blocks only if
@@ -628,17 +612,13 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 	for _, u := range b.ups {
 		sh.core.Apply(u.item, u.value, &sh.tr)
 	}
-	if sh.log != nil {
-		// Group commit on the batch boundary, after the Apply loop: a
-		// commit that rotates snapshots the core, which must already hold
-		// this batch (the records carrying it are deleted with the old
-		// segment).
+	if sh.dur != nil {
+		// Group commit on the batch boundary, after the Apply loop (the
+		// ordering rule of node.Durable).
 		for _, u := range b.ups {
-			sh.log.Append(u.item, u.value)
+			sh.dur.Append(u.item, u.value)
 		}
-		if err := sh.log.Commit(sh.walState); err != nil {
-			c.noteWALErr(err)
-		}
+		sh.dur.Commit()
 	}
 	sends := sh.groupSends()
 	sh.mu.Unlock()

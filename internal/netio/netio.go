@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -136,10 +137,9 @@ type Node struct {
 	// failovers counts successful re-connections to a backup parent.
 	failovers int
 
-	// log is the node's write-ahead log (nil without durability) and
-	// walErr the first commit failure, both guarded by mu.
-	log    *wal.Log
-	walErr error
+	// dur is the node's write-ahead log glue (nil without durability),
+	// guarded by mu.
+	dur *dnode.Durable
 }
 
 // transport adapts the core's decisions to wire frames. Every call
@@ -354,9 +354,14 @@ func Start(cfg NodeConfig) (*Node, error) {
 	n.tr.n = n
 	n.core.SetObs(cfg.Obs)
 	if cfg.Durability != nil {
-		if err := n.openWAL(); err != nil {
+		// Recover into the freshly built core before the listener accepts.
+		// netio's share of the durability glue (node.Durable) is the
+		// directory naming — Dir/repoNNN, one base directory per cluster —
+		// and the lock: every later call on n.dur happens under Node.mu.
+		dir := filepath.Join(cfg.Durability.Dir, fmt.Sprintf("repo%03d", cfg.ID))
+		if n.dur, _, err = dnode.OpenDurable(dir, *cfg.Durability, n.core, nil); err != nil {
 			ln.Close()
-			return nil, err
+			return nil, fmt.Errorf("netio: %v durability: %w", cfg.ID, err)
 		}
 	}
 	if cfg.MetricsAddr != "" {
@@ -418,13 +423,18 @@ func (n *Node) Close() error {
 	n.metrics.Close()
 	n.wg.Wait()
 	n.mu.Lock()
-	if n.log != nil {
-		if cerr := n.log.Close(); cerr != nil && n.walErr == nil {
-			n.walErr = cerr
-		}
-	}
+	n.dur.Close()
 	n.mu.Unlock()
 	return err
+}
+
+// DurabilityErr reports the first write-ahead-log failure the node hit,
+// or nil. After a non-nil error, commits may be missing from what a
+// restart over the same directory replays.
+func (n *Node) DurabilityErr() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dur.Err()
 }
 
 // Publish injects a new value at the source node and pushes it to every
@@ -796,9 +806,8 @@ func (n *Node) apply(item string, value float64, tid uint64, hops []obs.Hop) err
 	n.tr.begin()
 	n.tr.tid, n.tr.hops = tid, hops
 	n.core.Apply(item, value, &n.tr)
-	if n.log != nil {
-		n.commitWAL([]Update{{Item: item, Value: value}})
-	}
+	n.dur.Append(item, value)
+	n.dur.Commit()
 	n.tr.flush()
 	return n.tr.err
 }
@@ -813,14 +822,11 @@ func (n *Node) applyBatch(ups []Update) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.tr.begin()
-	var applied []Update
 	for _, i := range dnode.CoalesceBatch(len(ups), func(i int) string { return ups[i].Item }) {
 		n.core.Apply(ups[i].Item, ups[i].Value, &n.tr)
-		if n.log != nil {
-			applied = append(applied, ups[i])
-		}
+		n.dur.Append(ups[i].Item, ups[i].Value)
 	}
-	n.commitWAL(applied)
+	n.dur.Commit() // one group commit per batch, after every Apply of it
 	n.tr.flush()
 	return n.tr.err
 }

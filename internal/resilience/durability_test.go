@@ -123,7 +123,7 @@ func TestKilledNodeDiskStateBitIdentical(t *testing.T) {
 	// A small snapshot interval so the disk state crosses at least one
 	// snapshot+replay boundary, not just a flat log.
 	dur := &wal.Options{Dir: dir, SnapshotEvery: 8, Fsync: wal.PolicyNever}
-	if _, err := Run(o, l, traces, dissemination.NewDistributed(), Config{Observer: obs, Durability: dur}, plan); err != nil {
+	if _, err := Run(o, l, traces, dissemination.NewDistributed(), Config{Push: dissemination.Config{Observer: obs}, Durability: dur}, plan); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"d3t/internal/coherency"
 	"d3t/internal/dissemination"
 	"d3t/internal/node"
 	"d3t/internal/repository"
@@ -15,9 +14,12 @@ import (
 	"d3t/internal/wal"
 )
 
-// Config parameterizes the resilient simulation runner.
+// Config parameterizes a resilient simulation run.
 type Config struct {
-	// Push is the delay model of the underlying push dissemination.
+	// Push is the delay model of the underlying push dissemination. When
+	// Push.Observer also implements this package's Observer it sees the
+	// crashes and rejoins as well — the client-serving layer migrates
+	// sessions off dead repositories that way.
 	Push dissemination.Config
 	// Heartbeat is the keep-alive interval between overlay neighbors.
 	// Default 2 s.
@@ -28,11 +30,6 @@ type Config struct {
 	DetectK int
 	// BackupK is the precomputed backup-parent list length. Default 5.
 	BackupK int
-	// Observer, when set, watches the run's events — source ticks and
-	// deliveries like dissemination.Observer, plus crashes and rejoins so
-	// the client-serving layer can migrate sessions off dead repositories.
-	// Nil leaves the run byte-identical to one without the field.
-	Observer Observer
 	// Durability, when set, gives every repository a write-ahead log
 	// under Durability.Dir (one subdirectory per repository): each
 	// delivered update is appended and group-committed, a kill: fault
@@ -57,9 +54,9 @@ type Observer interface {
 	ObserveRejoin(now sim.Time, id repository.ID)
 }
 
-// WithDefaults resolves the zero values to the runner's defaults,
-// including the push delay conventions (dissemination.Config). Exported
-// so figures and tests can report the effective detection window.
+// WithDefaults resolves the zero values to the layer's defaults (the
+// push delay conventions are the loop's to resolve). Exported so figures
+// and tests can report the effective detection window.
 func (c Config) WithDefaults() Config {
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 2 * sim.Second
@@ -76,7 +73,6 @@ func (c Config) WithDefaults() Config {
 	if c.SnapshotLoad == 0 {
 		c.SnapshotLoad = 5 * sim.Millisecond
 	}
-	c.Push = c.Push.WithDefaults()
 	return c
 }
 
@@ -134,9 +130,11 @@ type Result struct {
 // Run simulates pushing the traces through the overlay under the fault
 // plan: nodes crash and rejoin per the plan, neighbors exchange
 // heartbeats, dependents detect dead parents after the silence window and
-// re-home to their precomputed backups, and fidelity is measured exactly
-// as in dissemination.Run. lela supplies the re-homing policy (preference
-// function and augmentation); a nil plan runs fault-free.
+// re-home to their precomputed backups. The run itself — source ticks,
+// deliveries, the cost model, fidelity measurement — is
+// dissemination's loop; this package attaches to it as a layer. lela
+// supplies the re-homing policy (preference function and augmentation);
+// a nil plan runs fault-free, heartbeats included.
 //
 // The overlay is mutated by repairs, like it is by construction; callers
 // wanting the pre-fault overlay must rebuild it.
@@ -145,185 +143,97 @@ func Run(o *tree.Overlay, lela *tree.LeLA, traces []*trace.Trace, p disseminatio
 	if lela == nil {
 		lela = &tree.LeLA{}
 	}
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("resilience: no traces to run")
-	}
-	initial := make(map[string]float64, len(traces))
-	var horizon sim.Time
-	for _, tr := range traces {
-		if tr.Len() == 0 {
-			return nil, fmt.Errorf("resilience: trace %s is empty", tr.Item)
-		}
-		if _, dup := initial[tr.Item]; dup {
-			return nil, fmt.Errorf("resilience: duplicate trace for item %s", tr.Item)
-		}
-		initial[tr.Item] = tr.Ticks[0].Value
-		if end := tr.Ticks[tr.Len()-1].At; end > horizon {
-			horizon = end
-		}
-	}
-	p.Init(o, initial)
-
 	n := len(o.Nodes)
-	r := &runner{
+	r := &layer{
 		o: o, lela: lela, cfg: cfg,
-		engine:    sim.New(),
 		protocol:  p,
-		stations:  make([]sim.Station, n),
-		alive:     make([]bool, n),
 		dead:      make(map[repository.ID]bool),
 		crashedAt: make([]sim.Time, n),
 		values:    make([]map[string]float64, n),
 		lastHeard: make([][]sim.Time, n),
 		backups:   make([][]repository.ID, n),
 		orphans:   make(map[repository.ID]map[string]sim.Time),
-		byRepo:    make(map[string]map[repository.ID]*coherency.Tracker),
-		trackers:  make(map[string][]repoTracker),
 		killed:    make([]bool, n),
 	}
-	for i := range r.alive {
-		r.alive[i] = true
-		r.lastHeard[i] = make([]sim.Time, n)
-		r.values[i] = make(map[string]float64)
-	}
-	for x, v := range initial {
-		r.values[repository.SourceID][x] = v
-	}
-	for _, node := range o.Repos() {
-		for _, x := range node.Items() {
-			if v, ok := initial[x]; ok {
-				r.values[node.ID][x] = v
+	r.observer, _ = cfg.Push.Observer.(Observer)
+
+	// The victim of an AutoInterior fault is resolved now, against the
+	// built overlay.
+	if !plan.Empty() {
+		auto := busiestInterior(o)
+		for _, f := range plan.Faults {
+			if f.Node == AutoInterior {
+				f.Node = auto
 			}
-		}
-		r.backups[node.ID] = lela.BackupParents(o, node.ID, cfg.BackupK)
-		for _, x := range node.NeededItems() {
-			c := node.Needs[x]
-			v, ok := initial[x]
-			if !ok {
-				return nil, fmt.Errorf("resilience: repository %d needs item %s with no trace", node.ID, x)
+			if f.Node <= 0 || int(f.Node) >= n {
+				return nil, fmt.Errorf("resilience: fault targets unknown repository %d", f.Node)
 			}
-			t := coherency.NewTracker(c, 0, v)
-			r.trackers[x] = append(r.trackers[x], repoTracker{repo: node.ID, tr: t})
-			m := r.byRepo[x]
-			if m == nil {
-				m = make(map[repository.ID]*coherency.Tracker)
-				r.byRepo[x] = m
-			}
-			m[node.ID] = t
+			r.faults = append(r.faults, f)
 		}
 	}
 
+	loop, err := dissemination.NewLoop(o, traces, p, cfg.Push)
+	if err != nil {
+		return nil, err
+	}
+	for i := range r.values {
+		r.lastHeard[i] = make([]sim.Time, n)
+		r.values[i] = make(map[string]float64)
+	}
+	for _, tr := range traces {
+		r.values[repository.SourceID][tr.Item] = tr.Ticks[0].Value
+	}
+	for _, q := range o.Repos() {
+		for _, x := range q.Items() {
+			if v, ok := r.values[repository.SourceID][x]; ok {
+				r.values[q.ID][x] = v
+			}
+		}
+		r.backups[q.ID] = lela.BackupParents(o, q.ID, cfg.BackupK)
+	}
+
 	// Durable state: open (and recover) every repository's write-ahead
-	// log before the clock starts. A directory left by a previous run —
-	// the full-cluster-restart case — restores here, so this run resumes
-	// with the previous run's exact per-item values and edge state. The
-	// source is not logged: it regenerates from the traces.
+	// log after the protocol is initialized and before anything is
+	// scheduled. A directory left by a previous run — the
+	// full-cluster-restart case — restores here, so this run resumes with
+	// the previous run's exact per-item values and edge state. The source
+	// is not logged: it regenerates from the traces.
 	if cfg.Durability != nil {
-		r.logs = make([]*wal.Log, n)
+		r.logs = make([]*node.Durable, n)
 		defer func() {
-			for _, l := range r.logs {
-				if l != nil {
-					l.Close()
-				}
+			for _, d := range r.logs {
+				d.Close()
 			}
 		}()
 		for _, q := range o.Repos() {
-			id := q.ID
-			l, rec, err := wal.Open(filepath.Join(cfg.Durability.Dir, fmt.Sprintf("repo%03d", id)), *cfg.Durability)
+			rec, err := r.openLog(q.ID)
 			if err != nil {
-				return nil, fmt.Errorf("resilience: repository %d: %w", id, err)
+				return nil, fmt.Errorf("resilience: repository %d: %w", q.ID, err)
 			}
-			r.logs[id] = l
 			if !rec.Empty() {
-				r.restore(id, rec)
 				r.res.RestoredAtStart++
 				r.res.ReplayedRecords += len(rec.Batches)
 			}
 		}
 	}
 
-	// Source-side trace ticks (quiet ticks cost nothing).
-	for _, tr := range traces {
-		last := tr.Ticks[0].Value
-		for _, tk := range tr.Ticks[1:] {
-			if tk.Value == last {
-				continue
-			}
-			last = tk.Value
-			item, v := tr.Item, tk.Value
-			r.engine.At(tk.At, func(now sim.Time) { r.sourceTick(now, item, v) })
-		}
+	res := loop.Run(r)
+	for _, d := range r.logs {
+		r.noteErr(d.Err())
 	}
-
-	// Fault-plan events. The victim of an AutoInterior fault is resolved
-	// now, against the built overlay.
-	if !plan.Empty() {
-		auto := busiestInterior(o)
-		for _, f := range plan.Faults {
-			node := f.Node
-			if node == AutoInterior {
-				node = auto
-			}
-			if node <= 0 || int(node) >= n {
-				return nil, fmt.Errorf("resilience: fault targets unknown repository %d", node)
-			}
-			id, kill := node, f.Kill
-			r.engine.At(f.At, func(now sim.Time) { r.crash(now, id, kill) })
-			if f.RejoinAt > 0 {
-				r.engine.At(f.RejoinAt, func(now sim.Time) { r.rejoin(now, id) })
-			}
-		}
-	}
-
-	// Heartbeats and watchdogs, staggered deterministically per node so
-	// the detection load does not arrive in lockstep.
-	// Every node — source included — runs both loops: the source has no
-	// parents to watch, but it must still drop dead children to free its
-	// connection slots for repairs.
-	for _, node := range o.Nodes {
-		id := node.ID
-		offset := sim.Time((int64(id)*7919 + 13) % int64(cfg.Heartbeat))
-		r.engine.At(offset, func(now sim.Time) { r.heartbeat(now, id) })
-		r.engine.At(offset+cfg.Heartbeat/2, func(now sim.Time) { r.watchdog(now, id) })
-	}
-
-	r.engine.RunUntil(horizon)
 	if r.walErr != nil {
 		return nil, r.walErr
 	}
-
-	report := coherency.NewReport()
-	items := make([]string, 0, len(r.trackers))
-	for x := range r.trackers {
-		items = append(items, x)
-	}
-	sort.Strings(items)
-	for _, x := range items {
-		for _, rt := range r.trackers[x] {
-			report.Add(int(rt.repo), rt.tr.Fidelity(horizon))
-		}
-	}
-	r.stats.Events = r.engine.Processed()
 	if r.res.RecoverySamples > 0 {
 		r.res.MeanRecovery = r.recoverySum / sim.Time(r.res.RecoverySamples)
 	}
 	if r.res.DiskRecoveries > 0 {
 		r.res.MeanReplay = r.res.ReplayTime / sim.Time(r.res.DiskRecoveries)
 	}
-	name := p.Name()
 	if !plan.Empty() {
-		name += "+faults"
+		res.Protocol += "+faults"
 	}
-	return &Result{
-		Result: &dissemination.Result{
-			Protocol:          name,
-			Report:            report,
-			Stats:             r.stats,
-			Horizon:           horizon,
-			SourceUtilization: r.stations[repository.SourceID].Utilization(horizon),
-		},
-		Resilience: r.res,
-	}, nil
+	return &Result{Result: res, Resilience: r.res}, nil
 }
 
 // busiestInterior returns the repository serving the most dependents (the
@@ -339,22 +249,20 @@ func busiestInterior(o *tree.Overlay) repository.ID {
 	return best
 }
 
-type repoTracker struct {
-	repo repository.ID
-	tr   *coherency.Tracker
-}
-
-// runner is the per-run simulation state.
-type runner struct {
+// layer is the failure machinery of one run, attached to
+// dissemination's loop: liveness, silence clocks, backup lists, orphaned
+// feeds, each node's current copies (what a re-homed dependent is synced
+// from) and the write-ahead logs.
+type layer struct {
 	o        *tree.Overlay
 	lela     *tree.LeLA
 	cfg      Config
-	engine   *sim.Engine
+	loop     *dissemination.Loop
 	protocol dissemination.Protocol
-	stations []sim.Station
+	observer Observer // nil unless the run's observer watches faults too
+	faults   []Fault  // the plan with its victims resolved
 
-	alive     []bool
-	dead      map[repository.ID]bool // same fact as alive, shaped for tree.Rehome
+	dead      map[repository.ID]bool // the nodes currently down
 	crashedAt []sim.Time
 	values    []map[string]float64
 	lastHeard [][]sim.Time // lastHeard[a][b]: when a last heard from b
@@ -364,179 +272,97 @@ type runner struct {
 	// still reports the full severed duration as recovery latency.
 	orphans map[repository.ID]map[string]sim.Time
 
-	trackers map[string][]repoTracker
-	byRepo   map[string]map[repository.ID]*coherency.Tracker
-
 	// logs are the per-repository write-ahead logs (nil without
 	// durability; a killed node's slot is nil while it is down). killed
 	// marks nodes whose in-memory state died with the process. walErr
 	// records the first log failure; the run reports it at the end.
-	logs   []*wal.Log
+	logs   []*node.Durable
 	killed []bool
 	walErr error
 
-	stats       dissemination.Stats
 	res         Stats
 	recoverySum sim.Time
 }
 
-// coreHost is implemented by protocols built on the shared repository
-// core (Distributed and its naive variant); durable recovery restores
-// values and edge filter state straight into the core. Protocols without
-// one (AllPush) recover values only.
-type coreHost interface {
-	Core(repository.ID) *node.Core
-}
-
-// coreOf returns the protocol's core for id, nil when the protocol has
-// none.
-func (r *runner) coreOf(id repository.ID) *node.Core {
-	if h, ok := r.protocol.(coreHost); ok {
+// coreOf returns the protocol's core for id: protocols built on the
+// shared repository core (Distributed and its naive variant) recover
+// values and edge filter state into it; protocols without one (AllPush)
+// return nil and recover values only.
+func (r *layer) coreOf(id repository.ID) *node.Core {
+	if h, ok := r.protocol.(interface {
+		Core(repository.ID) *node.Core
+	}); ok {
 		return h.Core(id)
 	}
 	return nil
 }
 
-// walState assembles the repository's current durable state for a
-// snapshot: the core's values and seeded edges when the protocol has a
-// core, the runner's value map alone otherwise.
-func (r *runner) walState(id repository.ID) wal.State {
-	if c := r.coreOf(id); c != nil {
-		st := wal.State{Values: make(map[string]float64)}
-		c.DumpDurable(
-			func(item string, v float64) { st.Values[item] = v },
-			func(dep repository.ID, item string, last float64, seeded bool) {
-				st.Edges = append(st.Edges, wal.Edge{Dep: int64(dep), Item: item, Last: last, Seeded: seeded})
-			})
-		return st
+// openLog opens the repository's log directory, recovering what it
+// holds into the node's core and value map.
+func (r *layer) openLog(id repository.ID) (*wal.Recovered, error) {
+	dir := filepath.Join(r.cfg.Durability.Dir, fmt.Sprintf("repo%03d", id))
+	d, rec, err := node.OpenDurable(dir, *r.cfg.Durability, r.coreOf(id), r.values[id])
+	if err != nil {
+		return nil, err
 	}
-	vals := make(map[string]float64, len(r.values[id]))
-	for x, v := range r.values[id] {
-		vals[x] = v
-	}
-	return wal.State{Values: vals}
+	r.logs[id] = d
+	return rec, nil
 }
 
-// restore applies recovered durable state to a repository: the snapshot
-// verbatim, then the logged batches through the core's normal pipeline
-// (a ReplayTransport accepts every send, so edge filter state advances
-// exactly as before the crash).
-func (r *runner) restore(id repository.ID, rec *wal.Recovered) {
-	c := r.coreOf(id)
-	for x, v := range rec.State.Values {
-		r.values[id][x] = v
-		if c != nil {
-			c.SetValue(x, v)
-		}
-	}
-	if c != nil {
-		for _, e := range rec.State.Edges {
-			c.RestoreEdge(repository.ID(e.Dep), e.Item, e.Last, e.Seeded)
-		}
-	}
-	for _, b := range rec.Batches {
-		for _, u := range b {
-			r.values[id][u.Item] = u.Value
-			if c != nil {
-				c.Apply(u.Item, u.Value, node.ReplayTransport{})
-			}
-		}
-	}
-}
-
-// logDeliver appends a delivered update to the node's log and
-// group-commits it (in the unbatched resilient runner a delivery is the
-// batch boundary).
-func (r *runner) logDeliver(id repository.ID, item string, v float64) {
-	if r.logs == nil {
-		return
-	}
-	l := r.logs[id]
-	if l == nil {
-		return
-	}
-	l.Append(item, v)
-	if err := l.Commit(func() wal.State { return r.walState(id) }); err != nil && r.walErr == nil {
+// noteErr latches the run's first log failure.
+func (r *layer) noteErr(err error) {
+	if err != nil && r.walErr == nil {
 		r.walErr = err
 	}
 }
 
-// sourceTick handles a changed value arriving at the source.
-func (r *runner) sourceTick(now sim.Time, item string, v float64) {
-	r.stats.SourceTicks++
-	r.values[repository.SourceID][item] = v
-	for _, rt := range r.trackers[item] {
-		rt.tr.SourceUpdate(now, v)
+// Start implements dissemination.Layer: fault-plan events first, then
+// every node's heartbeat and watchdog — insertion order breaks timestamp
+// ties, and the source ticks are already queued.
+func (r *layer) Start(l *dissemination.Loop) {
+	r.loop = l
+	for _, f := range r.faults {
+		id, kill := f.Node, f.Kill
+		l.At(f.At, func(now sim.Time) { r.crash(now, id, kill) })
+		if f.RejoinAt > 0 {
+			l.At(f.RejoinAt, func(now sim.Time) { r.rejoin(now, id) })
+		}
 	}
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveSource(now, item, v)
+	// Heartbeats and watchdogs, staggered deterministically per node so
+	// the detection load does not arrive in lockstep.
+	// Every node — source included — runs both loops: the source has no
+	// parents to watch, but it must still drop dead children to free its
+	// connection slots for repairs.
+	for _, q := range r.o.Nodes {
+		id := q.ID
+		offset := sim.Time((int64(id)*7919 + 13) % int64(r.cfg.Heartbeat))
+		l.At(offset, func(now sim.Time) { r.heartbeat(now, id) })
+		l.At(offset+r.cfg.Heartbeat/2, func(now sim.Time) { r.watchdog(now, id) })
 	}
-	fwd, checks := r.protocol.AtSource(item, v)
-	r.stats.SourceChecks += uint64(checks)
-	r.dispatch(now, r.o.Source(), item, v, fwd, checks)
 }
 
-// deliver handles an update copy arriving at a repository. Copies arriving
-// at a dead node are dropped on the floor — exactly what a crashed process
-// does with packets addressed to it.
-func (r *runner) deliver(now sim.Time, node *repository.Repository, from repository.ID, item string, v float64, tag coherency.Requirement) {
-	if !r.alive[node.ID] {
+// Admit implements dissemination.Layer. Copies arriving at a dead node
+// are dropped on the floor — exactly what a crashed process does with
+// packets addressed to it; any other copy also resets the receiver's
+// silence clock for its sender.
+func (r *layer) Admit(now sim.Time, to, from repository.ID) bool {
+	if r.dead[to] {
 		r.res.DroppedDeliveries++
-		return
+		return false
 	}
-	r.lastHeard[node.ID][from] = now
-	r.stats.Deliveries++
-	r.values[node.ID][item] = v
-	if t := r.byRepo[item][node.ID]; t != nil {
-		t.RepoUpdate(now, v)
-	}
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveDeliver(now, node.ID, item, v)
-	}
-	fwd, checks := r.protocol.AtRepo(node, item, v, tag)
-	// The group commit sits after the protocol applied the update: a
-	// commit that rotates snapshots the core, which must already hold
-	// this update (the record carrying it is deleted with the old
-	// segment).
-	r.logDeliver(node.ID, item, v)
-	r.stats.RepoChecks += uint64(checks)
-	r.dispatch(now, node, item, v, fwd, checks)
+	r.lastHeard[to][from] = now
+	return true
 }
 
-// dispatch charges computational delays and schedules the sends, exactly
-// like the dissemination runner's latency/queueing models.
-func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []dissemination.Forward, checks int) {
-	st := &r.stations[from.ID]
-	var preamble sim.Time
-	if extra := checks - len(fwd); extra > 0 && r.cfg.Push.CheckFrac > 0 {
-		preamble = sim.Time(float64(r.cfg.Push.CompDelay) * r.cfg.Push.CheckFrac * float64(extra))
+// Applied implements dissemination.Layer: remember the node's new copy
+// and log it. In the unbatched simulator a delivery is the batch
+// boundary, so each one group-commits (the source has no log).
+func (r *layer) Applied(_ sim.Time, id repository.ID, item string, v float64) {
+	r.values[id][item] = v
+	if r.logs != nil {
+		r.logs[id].Append(item, v)
+		r.logs[id].Commit()
 	}
-	if r.cfg.Push.Queueing {
-		if preamble > 0 {
-			st.Acquire(now, preamble)
-		}
-		for _, f := range fwd {
-			done := st.Acquire(now, r.cfg.Push.CompDelay)
-			r.send(done, from.ID, item, v, f)
-		}
-		return
-	}
-	st.Busy += preamble + sim.Time(len(fwd))*r.cfg.Push.CompDelay
-	st.Jobs++
-	depart := now + preamble
-	for _, f := range fwd {
-		depart += r.cfg.Push.CompDelay
-		r.send(depart, from.ID, item, v, f)
-	}
-}
-
-// send emits one copy departing at the given time.
-func (r *runner) send(depart sim.Time, from repository.ID, item string, v float64, f dissemination.Forward) {
-	r.stats.Messages++
-	to := r.o.Node(f.To)
-	arrive := depart + r.o.Net.Delay[from][f.To]
-	tag := f.Tag
-	r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, from, item, v, tag) })
 }
 
 // crash takes a node down: it stops forwarding, heartbeating and
@@ -545,11 +371,10 @@ func (r *runner) send(depart sim.Time, from repository.ID, item string, v float6
 // in-memory state — values, fan-out plans, edge filter state — is gone,
 // and the node's log handle dies with the process (recovery reopens the
 // directory, exactly like a restarted binary would).
-func (r *runner) crash(now sim.Time, id repository.ID, kill bool) {
-	if !r.alive[id] {
+func (r *layer) crash(now sim.Time, id repository.ID, kill bool) {
+	if r.dead[id] {
 		return
 	}
-	r.alive[id] = false
 	r.dead[id] = true
 	r.crashedAt[id] = now
 	r.res.Crashes++
@@ -560,18 +385,17 @@ func (r *runner) crash(now sim.Time, id repository.ID, kill bool) {
 		if c := r.coreOf(id); c != nil {
 			c.WipeDurable()
 		}
-		if r.logs != nil && r.logs[id] != nil {
+		if r.logs != nil {
 			// The simulated process cannot fsync on its way out; Close here
 			// stands in for the OS reclaiming the descriptor. Committed
 			// records are already flushed, which is all recovery needs.
-			if err := r.logs[id].Close(); err != nil && r.walErr == nil {
-				r.walErr = err
-			}
+			r.logs[id].Close()
+			r.noteErr(r.logs[id].Err())
 			r.logs[id] = nil
 		}
 	}
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveCrash(now, id)
+	if r.observer != nil {
+		r.observer.ObserveCrash(now, id)
 	}
 }
 
@@ -583,29 +407,25 @@ func (r *runner) crash(now sim.Time, id repository.ID, kill bool) {
 // after the modeled recovery delay; without durability it completes at
 // once, cold, serving nothing until feeds resync (the bug this
 // machinery fixes).
-func (r *runner) rejoin(now sim.Time, id repository.ID) {
-	if r.alive[id] {
+func (r *layer) rejoin(now sim.Time, id repository.ID) {
+	if !r.dead[id] {
 		return
 	}
 	if r.killed[id] {
 		r.killed[id] = false
 		if r.cfg.Durability != nil {
-			l, rec, err := wal.Open(filepath.Join(r.cfg.Durability.Dir, fmt.Sprintf("repo%03d", id)), *r.cfg.Durability)
+			rec, err := r.openLog(id)
 			if err != nil {
-				if r.walErr == nil {
-					r.walErr = fmt.Errorf("resilience: repository %d recovery: %w", id, err)
-				}
+				r.noteErr(fmt.Errorf("resilience: repository %d recovery: %w", id, err))
 				return
 			}
-			r.logs[id] = l
-			r.restore(id, rec)
 			r.res.DiskRecoveries++
 			r.res.ReplayedRecords += len(rec.Batches)
 			delay := r.cfg.SnapshotLoad + sim.Time(len(rec.Batches))*r.cfg.ReplayPerRecord
 			r.res.ReplayTime += delay
 			// The node stays down (deliveries drop, heartbeats silent)
 			// while it replays; the rejoin completes when replay does.
-			r.engine.At(now+delay, func(t sim.Time) { r.completeRejoin(t, id) })
+			r.loop.At(now+delay, func(t sim.Time) { r.completeRejoin(t, id) })
 			return
 		}
 	}
@@ -614,16 +434,15 @@ func (r *runner) rejoin(now sim.Time, id repository.ID) {
 
 // completeRejoin finishes a restart: the node is alive again, detaches
 // from stale parents, and re-homes every feed it serves.
-func (r *runner) completeRejoin(now sim.Time, id repository.ID) {
-	if r.alive[id] {
+func (r *layer) completeRejoin(now sim.Time, id repository.ID) {
+	if !r.dead[id] {
 		return
 	}
-	r.alive[id] = true
 	delete(r.dead, id)
 	r.crashedAt[id] = 0
 	r.res.Rejoins++
-	if r.cfg.Observer != nil {
-		r.cfg.Observer.ObserveRejoin(now, id)
+	if r.observer != nil {
+		r.observer.ObserveRejoin(now, id)
 	}
 
 	q := r.o.Node(id)
@@ -650,9 +469,9 @@ func (r *runner) completeRejoin(now sim.Time, id repository.ID) {
 // heartbeat sends keep-alives from id to its current overlay neighbors
 // (children and parents both, so each side can detect the other), then
 // reschedules itself.
-func (r *runner) heartbeat(now sim.Time, id repository.ID) {
-	r.engine.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.heartbeat(t, id) })
-	if !r.alive[id] {
+func (r *layer) heartbeat(now sim.Time, id repository.ID) {
+	r.loop.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.heartbeat(t, id) })
+	if r.dead[id] {
 		return
 	}
 	neighbors := append(r.o.ChildrenOf(id), r.o.ParentsOf(id)...)
@@ -665,8 +484,8 @@ func (r *runner) heartbeat(now sim.Time, id repository.ID) {
 		r.res.Heartbeats++
 		arrive := now + r.o.Net.Delay[id][nb]
 		nb := nb
-		r.engine.At(arrive, func(t sim.Time) {
-			if r.alive[nb] {
+		r.loop.At(arrive, func(t sim.Time) {
+			if !r.dead[nb] {
 				r.lastHeard[nb][id] = t
 			}
 		})
@@ -676,9 +495,9 @@ func (r *runner) heartbeat(now sim.Time, id repository.ID) {
 // watchdog is the per-repository detection pass: declare silent parents
 // dead and re-home their feeds, drop silent children, retry orphaned
 // feeds. It reschedules itself every heartbeat interval.
-func (r *runner) watchdog(now sim.Time, id repository.ID) {
-	r.engine.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.watchdog(t, id) })
-	if !r.alive[id] {
+func (r *layer) watchdog(now sim.Time, id repository.ID) {
+	r.loop.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.watchdog(t, id) })
+	if r.dead[id] {
 		return
 	}
 	window := r.cfg.Window()
@@ -716,7 +535,7 @@ func (r *runner) watchdog(now sim.Time, id repository.ID) {
 // rehomeFrom re-homes every feed dependent q receives from the (detected
 // dead) parent pid. The parent's crash time rides along so recovery
 // latency is measured crash-to-re-home, however many retries that takes.
-func (r *runner) rehomeFrom(now sim.Time, q *repository.Repository, pid repository.ID) {
+func (r *layer) rehomeFrom(now sim.Time, q *repository.Repository, pid repository.ID) {
 	items := make([]string, 0, len(q.Parents))
 	for x, p := range q.Parents {
 		if p == pid {
@@ -729,7 +548,7 @@ func (r *runner) rehomeFrom(now sim.Time, q *repository.Repository, pid reposito
 		q.Liaison = repository.NoID
 	}
 	var crashed sim.Time
-	if !r.alive[pid] {
+	if r.dead[pid] {
 		crashed = r.crashedAt[pid]
 	}
 	for _, x := range items {
@@ -745,11 +564,11 @@ func (r *runner) rehomeFrom(now sim.Time, q *repository.Repository, pid reposito
 // waiting for the next source tick. crashed is the causing crash's time
 // (0 when not crash-induced); a recovery-latency sample is recorded only
 // here, when the feed actually lands on a live parent.
-func (r *runner) rehomeFeed(now sim.Time, q *repository.Repository, x string, crashed sim.Time) {
+func (r *layer) rehomeFeed(now sim.Time, q *repository.Repository, x string, crashed sim.Time) {
 	var parent repository.ID = repository.NoID
 	var sub map[repository.ID]bool
 	for _, b := range r.backups[q.ID] {
-		if !r.alive[b] {
+		if r.dead[b] {
 			continue
 		}
 		if sub == nil {
@@ -788,23 +607,11 @@ func (r *runner) rehomeFeed(now sim.Time, q *repository.Repository, x string, cr
 	// without this the stale silence clock could instantly "detect" it.
 	r.lastHeard[q.ID][parent] = now
 	r.lastHeard[parent][q.ID] = now
-	// Sync push: the new parent ships its current copy through the normal
-	// cost model — it queues at the parent's station like any other copy.
+	// Sync push: the new parent ships its current copy, re-seeding the
+	// edge's filter state, through the normal cost model.
 	v, ok := r.values[parent][x]
 	if !ok {
 		v = r.values[repository.SourceID][x]
 	}
-	// Re-seed the protocol's per-edge filter state to the synced value: a
-	// revived edge (crash-and-rejoin back onto the old parent) would
-	// otherwise filter against its pre-crash state and withhold updates.
-	if er, ok := r.protocol.(edgeResetter); ok {
-		er.ResetEdge(parent, q.ID, x, v)
-	}
-	r.dispatch(now, r.o.Node(parent), x, v, []dissemination.Forward{{To: q.ID}}, 0)
-}
-
-// edgeResetter is implemented by protocols with per-edge filter state
-// (Distributed and its naive variant); stateless protocols need nothing.
-type edgeResetter interface {
-	ResetEdge(from, to repository.ID, x string, v float64)
+	r.loop.Resync(now, parent, q.ID, x, v)
 }

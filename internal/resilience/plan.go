@@ -64,6 +64,24 @@ type Plan struct {
 // Empty reports whether the plan injects no faults.
 func (p *Plan) Empty() bool { return p == nil || len(p.Faults) == 0 }
 
+// Merge folds another plan's faults (a scenario's regional failures)
+// into this one, keeping crash-time order; faults at the same time keep
+// p's before o's. Either side may be nil or empty.
+func (p *Plan) Merge(o *Plan) *Plan {
+	if o.Empty() {
+		return p
+	}
+	if p.Empty() {
+		return o
+	}
+	merged := &Plan{Spec: p.Spec + "+" + o.Spec}
+	merged.Faults = append(append(merged.Faults, p.Faults...), o.Faults...)
+	sort.SliceStable(merged.Faults, func(i, j int) bool {
+		return merged.Faults[i].At < merged.Faults[j].At
+	})
+	return merged
+}
+
 // ParsePlan builds a fault plan from a spec string, sized to a run of
 // `repos` repositories and `ticks` trace ticks at `interval`. Specs:
 //

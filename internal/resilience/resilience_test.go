@@ -95,29 +95,48 @@ func TestChurnPlanDeterministicAndRateScaled(t *testing.T) {
 	}
 }
 
+// TestNoFaultRunMatchesDissemination pins the layer attached under an
+// empty plan and no durability: it still runs every node's heartbeat and
+// watchdog (the durability-only route of core depends on the layer being
+// live; 20486 events and 8400 heartbeats are what the separate resilient
+// runner executed on this fixture before the loops were unified), it
+// injects nothing, and the run underneath is exactly dissemination.Run —
+// the same per-repository fidelity report and work counters, under the
+// default delay model and with delays switched off.
 func TestNoFaultRunMatchesDissemination(t *testing.T) {
-	o1, l1, traces := fixture(t, 20, 10, 4, 400, 3)
-	base, err := dissemination.Run(o1, traces, dissemination.NewDistributed(), dissemination.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, l2, traces2 := fixture(t, 20, 10, 4, 400, 3)
-	_ = l1
-	res, err := Run(o2, l2, traces2, dissemination.NewDistributed(), Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Report.SystemFidelity(), base.Report.SystemFidelity(); got != want {
-		t.Errorf("fault-free resilient fidelity %v != dissemination fidelity %v", got, want)
-	}
-	if got, want := res.Stats.Messages, base.Stats.Messages; got != want {
-		t.Errorf("fault-free resilient messages %d != dissemination messages %d", got, want)
-	}
-	if res.Resilience.Crashes != 0 || res.Resilience.Detections != 0 || res.Resilience.Rehomed != 0 {
-		t.Errorf("fault-free run performed repairs: %+v", res.Resilience)
-	}
-	if res.Resilience.Heartbeats == 0 {
-		t.Error("no heartbeats exchanged")
+	for _, comp := range []sim.Time{0, -1} {
+		push := dissemination.Config{CompDelay: comp}
+		o1, _, traces := fixture(t, 20, 10, 4, 400, 3)
+		base, err := dissemination.Run(o1, traces, dissemination.NewDistributed(), push)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o2, l2, traces2 := fixture(t, 20, 10, 4, 400, 3)
+		res, err := Run(o2, l2, traces2, dissemination.NewDistributed(), Config{Push: push}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range base.Report.Repositories() {
+			want, _ := base.Report.RepoFidelity(id)
+			if got, _ := res.Report.RepoFidelity(id); got != want {
+				t.Errorf("comp %v: repository %d fidelity %v under the idle layer, %v without it", comp, id, got, want)
+			}
+		}
+		got, want := res.Stats, base.Stats
+		got.Events = want.Events // the layer's own events are checked below
+		if got != want {
+			t.Errorf("comp %v: idle layer changed the run's work: %+v vs %+v", comp, got, want)
+		}
+		if res.Protocol != base.Protocol {
+			t.Errorf("protocol %q under an empty plan, want %q", res.Protocol, base.Protocol)
+		}
+		if r := res.Resilience; r.Crashes != 0 || r.Detections != 0 || r.Rehomed != 0 || r.ChildDrops != 0 {
+			t.Errorf("fault-free run performed repairs: %+v", r)
+		}
+		if comp == 0 && (res.Stats.Events != 20486 || res.Resilience.Heartbeats != 8400) {
+			t.Errorf("idle layer ran %d events, %d heartbeats; want 20486 and 8400",
+				res.Stats.Events, res.Resilience.Heartbeats)
+		}
 	}
 }
 
