@@ -3,6 +3,13 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"d3t/internal/dissemination"
+	"d3t/internal/netsim"
+	"d3t/internal/repository"
+	"d3t/internal/sim"
+	"d3t/internal/trace"
+	"d3t/internal/tree"
 )
 
 // Series is one labelled curve of a figure.
@@ -74,6 +81,30 @@ func FigureIDs() []string {
 	return ids
 }
 
+// Table1 regenerates the trace-characteristics table from the synthetic
+// stand-ins for the paper's six example tickers.
+func Table1(s Scale) (*FigureResult, error) {
+	traces := trace.Table1TracesSized(s.Ticks, s.Seed)
+	rows := make([][]string, 0, len(traces))
+	for i, tr := range traces {
+		st := tr.Summarize()
+		tk := trace.Table1Tickers[i]
+		rows = append(rows, []string{
+			st.Item,
+			fmt.Sprintf("%d", st.Ticks),
+			fmt.Sprintf("%.2f", st.Min),
+			fmt.Sprintf("%.2f", st.Max),
+			fmt.Sprintf("%.2f-%.2f", tk.Min, tk.Max),
+		})
+	}
+	return &FigureResult{
+		ID:     "table1",
+		Title:  "Trace characteristics (synthetic stand-ins for the paper's polls)",
+		Header: []string{"ticker", "ticks", "min", "max", "paper band"},
+		Rows:   rows,
+	}, nil
+}
+
 // coopSweep runs one loss-vs-cooperation curve per T value, with mutate
 // applied to each configuration before running.
 func coopSweep(s Scale, mutate func(*Config)) ([]Series, error) {
@@ -123,6 +154,57 @@ func Figure3(s Scale) (*FigureResult, error) {
 		XLabel: "Degree of Cooperation",
 		YLabel: "Loss of Fidelity (%)",
 		Series: series,
+	}, nil
+}
+
+// Figure4 demonstrates the missed-update problem on the paper's exact
+// example (values scaled x100 so the comparisons are float-exact): Eq. 3
+// alone loses fidelity even under ideal conditions; adding Eq. 7 restores
+// 100%.
+func Figure4(Scale) (*FigureResult, error) {
+	build := func() (*tree.Overlay, []*trace.Trace, error) {
+		net := netsim.Uniform(2, 0)
+		p := repository.New(1, 1)
+		q := repository.New(2, 1)
+		p.Needs["X"], p.Serving["X"] = 30, 30
+		q.Needs["X"], q.Serving["X"] = 50, 50
+		o, err := (&tree.LeLA{}).Build(net, []*repository.Repository{p, q}, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		tr := &trace.Trace{Item: "X"}
+		for i, v := range []float64{100, 120, 140, 150, 170, 200} {
+			tr.Ticks = append(tr.Ticks, trace.Tick{At: sim.Time(i) * sim.Second, Value: v})
+		}
+		return o, []*trace.Trace{tr}, nil
+	}
+	rows := make([][]string, 0, 3)
+	for _, proto := range []dissemination.Protocol{
+		dissemination.NewNaive(), dissemination.NewDistributed(), dissemination.NewCentralized(),
+	} {
+		o, traces, err := build()
+		if err != nil {
+			return nil, err
+		}
+		res, err := dissemination.Run(o, traces, proto, dissemination.Config{CompDelay: -1})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, []string{
+			proto.Name(),
+			fmt.Sprintf("%.2f", res.Report.LossPercent()),
+			fmt.Sprintf("%d", res.Stats.Messages),
+		})
+	}
+	return &FigureResult{
+		ID:     "fig4",
+		Title:  "Missed-update problem (paper's Figure 4 scenario, zero delays)",
+		Header: []string{"protocol", "loss %", "messages"},
+		Rows:   rows,
+		Notes: []string{
+			"chain source -> P (c=30) -> Q (c=50); values 100,120,140,150,170,200",
+			"naive-eq3 must show positive loss; the exact algorithms must show 0",
+		},
 	}, nil
 }
 

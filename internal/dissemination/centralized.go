@@ -25,6 +25,7 @@ type Centralized struct {
 	tolerances map[string][]coherency.Requirement
 	// sent[x][c] is the last value disseminated for tolerance c of item x.
 	sent map[string]map[coherency.Requirement]float64
+	buf  []Forward // reused across calls, see Protocol
 }
 
 // NewCentralized returns the source-based algorithm.
@@ -99,15 +100,15 @@ func (c *Centralized) AtRepo(node *repository.Repository, x string, _ float64, t
 }
 
 func (c *Centralized) fanOut(node *repository.Repository, x string, tag coherency.Requirement) []Forward {
-	var fwd []Forward
+	c.buf = c.buf[:0]
 	for _, dep := range node.Dependents[x] {
 		cDep, ok := c.overlay.Node(dep).ServingTolerance(x)
 		if !ok {
 			continue
 		}
 		if cDep.AtLeastAsStringentAs(tag) {
-			fwd = append(fwd, Forward{To: dep, Tag: tag})
+			c.buf = append(c.buf, Forward{To: dep, Tag: tag})
 		}
 	}
-	return fwd
+	return c.buf
 }

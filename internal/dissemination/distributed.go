@@ -175,6 +175,7 @@ func (d *Distributed) at(id repository.ID, x string, v float64) ([]Forward, int)
 // an item flows to every repository interested in it.
 type AllPush struct {
 	overlay *tree.Overlay
+	buf     []Forward // reused across calls, see Protocol
 }
 
 // NewAllPush returns the unfiltered baseline.
@@ -197,10 +198,9 @@ func (a *AllPush) AtRepo(node *repository.Repository, x string, _ float64, _ coh
 }
 
 func (a *AllPush) all(node *repository.Repository, x string) ([]Forward, int) {
-	deps := node.Dependents[x]
-	fwd := make([]Forward, len(deps))
-	for i, dep := range deps {
-		fwd[i] = Forward{To: dep}
+	a.buf = a.buf[:0]
+	for _, dep := range node.Dependents[x] {
+		a.buf = append(a.buf, Forward{To: dep})
 	}
-	return fwd, 0 // no filtering checks are performed
+	return a.buf, 0 // no filtering checks are performed
 }

@@ -38,7 +38,8 @@ type Protocol interface {
 	//
 	// The returned slice is valid only until the next call on the same
 	// protocol — implementations may reuse one backing buffer across
-	// calls (Distributed does, keeping the hot path allocation-free).
+	// calls (the ones in this package all do, keeping the hot path
+	// allocation-free).
 	// Callers must consume or copy it before deciding the next update.
 	AtSource(x string, v float64) (fwd []Forward, checks int)
 	// AtRepo reports which of node's dependents must receive the update

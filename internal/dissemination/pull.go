@@ -103,9 +103,11 @@ func RunPull(o *tree.Overlay, traces []*trace.Trace, cfg PullConfig) (*Result, e
 		}
 	}
 
-	// Source ticks just update the source copy (and the trackers).
-	f.scheduleSource(func(_ sim.Time, item string, v float64) {
-		values[repository.SourceID][item] = v
+	// Source ticks just update the source copy (and the trackers); the
+	// pollers are closures, so the tick is the only typed event.
+	f.engine.Handle(func(now sim.Time, _ sim.Kind, p sim.Payload) {
+		f.tick(now, p.Item, p.V)
+		values[repository.SourceID][f.items[p.Item]] = p.V
 	})
 
 	// One poller per (repository, served item): ask the parent, refresh,
@@ -122,6 +124,9 @@ func RunPull(o *tree.Overlay, traces []*trace.Trace, cfg PullConfig) (*Result, e
 				node: n, parent: pid, item: x, c: c,
 				rtt: o.Net.Delay[n.ID][pid],
 				ttr: cfg.TTR, lastVal: f.initial[x],
+			}
+			if i, ok := f.index[x]; ok {
+				p.track = f.byRepo[i][n.ID]
 			}
 			// Stagger first polls across the interval to avoid a thundering
 			// herd at t=0 (deterministic: by node and item index).
@@ -145,6 +150,7 @@ type poller struct {
 	item   string
 	c      coherency.Requirement
 	rtt    sim.Time
+	track  *coherency.Tracker // nil when the node only relays the item
 
 	ttr      sim.Time
 	lastVal  float64
@@ -173,8 +179,8 @@ func (p *poller) receive(now sim.Time, v float64) {
 	p.stats.Deliveries++
 	if v != p.values[p.node.ID][p.item] {
 		p.values[p.node.ID][p.item] = v
-		if t := p.byRepo[p.item][p.node.ID]; t != nil {
-			t.RepoUpdate(now, v)
+		if p.track != nil {
+			p.track.RepoUpdate(now, v)
 		}
 	}
 	if p.cfg.Mode == AdaptiveTTR {

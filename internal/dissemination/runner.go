@@ -2,7 +2,8 @@ package dissemination
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"d3t/internal/coherency"
 	"d3t/internal/obs"
@@ -117,21 +118,21 @@ type Result struct {
 // under faults (resilience.Run, through Loop) and pull (RunPull): trace
 // validation, initial values and horizon, the engine and per-node
 // stations, one fidelity tracker per (repository, needed item) pair,
-// the source-tick schedule and the result assembly.
+// the source feed and the result assembly.
 type frame struct {
 	engine   *sim.Engine
 	stations []sim.Station
-	traces   []*trace.Trace
 	initial  map[string]float64
 	horizon  sim.Time
-	// accepts admits the items the run covers (nil: all of them); tick
-	// is the runner's share of a source tick (see scheduleSource).
-	accepts func(item string) bool
-	tick    func(now sim.Time, item string, v float64)
-	// trackers lists each item's interested repositories; byRepo indexes
-	// the same trackers by (item, repository) for the delivery path.
-	trackers map[string][]repoTracker
-	byRepo   map[string]map[repository.ID]*coherency.Tracker
+	// items interns the trace items — events carry an item as its
+	// trace's index; index is the way back for callers that name one.
+	items []string
+	index map[string]int32
+	// trackers lists each item's interested repositories; byRepo holds
+	// the same trackers as a dense [item index][node id] table for the
+	// delivery path.
+	trackers [][]repoTracker
+	byRepo   [][]*coherency.Tracker
 	stats    Stats
 }
 
@@ -139,6 +140,20 @@ type repoTracker struct {
 	repo repository.ID
 	tr   *coherency.Tracker
 }
+
+// cursor walks one trace's value-changing ticks.
+type cursor struct {
+	ticks []trace.Tick
+	item  int32
+	last  float64
+}
+
+// Event kinds of the simulation loop; a layer's kinds follow (Loop.Kind).
+const (
+	kindTick    sim.Kind = iota + 1 // source feed: Item, V
+	kindDeliver                     // one update copy arriving: every field
+	kindLayer
+)
 
 // newFrame validates the traces and builds the frame. Time zero holds
 // the initial value of every trace at every node; fidelity is observed
@@ -153,13 +168,15 @@ func newFrame(o *tree.Overlay, traces []*trace.Trace, accepts func(string) bool,
 	f := &frame{
 		engine:   sim.New(),
 		stations: make([]sim.Station, len(o.Nodes)),
-		traces:   traces,
 		initial:  make(map[string]float64, len(traces)),
-		accepts:  accepts,
-		trackers: make(map[string][]repoTracker),
-		byRepo:   make(map[string]map[repository.ID]*coherency.Tracker),
+		items:    make([]string, len(traces)),
+		index:    make(map[string]int32, len(traces)),
+		trackers: make([][]repoTracker, len(traces)),
+		byRepo:   make([][]*coherency.Tracker, len(traces)),
 	}
-	for _, tr := range traces {
+	cells := make([]*coherency.Tracker, len(traces)*len(o.Nodes))
+	var lane []cursor // one per accepted trace, in trace order
+	for i, tr := range traces {
 		if tr.Len() == 0 {
 			return nil, fmt.Errorf("dissemination: trace %s is empty", tr.Item)
 		}
@@ -167,8 +184,13 @@ func newFrame(o *tree.Overlay, traces []*trace.Trace, accepts func(string) bool,
 			return nil, fmt.Errorf("dissemination: duplicate trace for item %s", tr.Item)
 		}
 		f.initial[tr.Item] = tr.Ticks[0].Value
+		f.items[i], f.index[tr.Item] = tr.Item, int32(i)
 		if end := tr.Ticks[tr.Len()-1].At; end > f.horizon {
 			f.horizon = end
+		}
+		f.byRepo[i], cells = cells[:len(o.Nodes)], cells[len(o.Nodes):]
+		if accepts == nil || accepts(tr.Item) {
+			lane = append(lane, cursor{ticks: tr.Ticks[1:], item: int32(i), last: tr.Ticks[0].Value})
 		}
 	}
 	for _, n := range o.Repos() {
@@ -176,73 +198,60 @@ func newFrame(o *tree.Overlay, traces []*trace.Trace, accepts func(string) bool,
 			if accepts != nil && !accepts(x) {
 				continue
 			}
-			v, ok := f.initial[x]
+			i, ok := f.index[x]
 			if !ok {
 				return nil, fmt.Errorf("dissemination: repository %d needs item %s with no trace", n.ID, x)
 			}
-			t := coherency.NewTracker(n.Needs[x], 0, v)
+			t := coherency.NewTracker(n.Needs[x], 0, f.initial[x])
 			if ot != nil {
 				on := ot.Node(n.ID)
 				t.OnViolationEnd = func(start, end sim.Time) {
 					on.ObserveViolation(int64(end - start))
 				}
 			}
-			f.trackers[x] = append(f.trackers[x], repoTracker{repo: n.ID, tr: t})
-			m := f.byRepo[x]
-			if m == nil {
-				m = make(map[repository.ID]*coherency.Tracker)
-				f.byRepo[x] = m
-			}
-			m[n.ID] = t
+			f.trackers[i] = append(f.trackers[i], repoTracker{repo: n.ID, tr: t})
+			f.byRepo[i][n.ID] = t
 		}
 	}
+	// The source feed: one kindTick event per value-changing tick of every
+	// accepted trace, as an engine lane over the traces themselves rather
+	// than as events in its heap (sim.SetLane has the ordering: as if all
+	// were queued, trace by trace, before anything else). Quiet ticks (no
+	// value change) cost nothing: the paper's sources react to new data
+	// values.
+	f.engine.SetLane(kindTick, len(lane), func(c int) (sim.Time, sim.Payload, bool) {
+		cu := &lane[c]
+		for len(cu.ticks) > 0 {
+			tk := cu.ticks[0]
+			cu.ticks = cu.ticks[1:]
+			if tk.Value != cu.last {
+				cu.last = tk.Value
+				return tk.At, sim.Payload{Item: cu.item, V: tk.Value}, true
+			}
+		}
+		return 0, sim.Payload{}, false
+	})
 	return f, nil
 }
 
-// scheduleSource queues one event per value-changing tick of every
-// accepted trace: it counts the tick, moves the item's trackers, then
-// hands the new value to tick. Quiet ticks (no value change) cost
-// nothing: the paper's sources react to new data values. tick lives on
-// the frame, not in the closures: there is one per tick of the whole
-// trace set, and a fifth captured word would move each up a size class.
-func (f *frame) scheduleSource(tick func(now sim.Time, item string, v float64)) {
-	f.tick = tick
-	for _, tr := range f.traces {
-		if f.accepts != nil && !f.accepts(tr.Item) {
-			continue
-		}
-		last := tr.Ticks[0].Value
-		for _, tk := range tr.Ticks[1:] {
-			if tk.Value == last {
-				continue
-			}
-			last = tk.Value
-			item, v := tr.Item, tk.Value
-			f.engine.At(tk.At, func(now sim.Time) {
-				f.stats.SourceTicks++
-				for _, rt := range f.trackers[item] {
-					rt.tr.SourceUpdate(now, v)
-				}
-				f.tick(now, item, v)
-			})
-		}
+// tick is the frame's share of a source tick: count it and move the
+// item's trackers.
+func (f *frame) tick(now sim.Time, item int32, v float64) {
+	f.stats.SourceTicks++
+	for _, rt := range f.trackers[item] {
+		rt.tr.SourceUpdate(now, v)
 	}
 }
 
 // run advances the clock to the horizon and assembles the result: the
 // fidelity report in sorted item order (so per-repository means sum in
-// one order whatever the map iteration), the counters, and the source's
+// one order whatever the trace order), the counters, and the source's
 // busy fraction.
 func (f *frame) run(protocol string) *Result {
 	f.engine.RunUntil(f.horizon)
 	report := coherency.NewReport()
-	items := make([]string, 0, len(f.trackers))
-	for x := range f.trackers {
-		items = append(items, x)
-	}
-	sort.Strings(items)
-	for _, x := range items {
-		for _, rt := range f.trackers[x] {
+	for _, x := range slices.Sorted(maps.Keys(f.index)) {
+		for _, rt := range f.trackers[f.index[x]] {
 			report.Add(int(rt.repo), rt.tr.Fidelity(f.horizon))
 		}
 	}
@@ -262,10 +271,11 @@ func (f *frame) run(protocol string) *Result {
 // calls — these three hooks plus Loop.Resync — and schedules whatever
 // else it needs (crashes, heartbeats, watchdogs) as its own events.
 type Layer interface {
-	// Start runs once, after the source ticks are queued and before the
-	// clock starts: the layer schedules its own events with Loop.At.
-	// Insertion order breaks timestamp ties, so a layer event at time t
-	// runs after the source tick at t.
+	// Start runs once, before the clock starts: the layer schedules its
+	// own events with Loop.At and the kinds it registers with Loop.Kind.
+	// Insertion order breaks timestamp ties and the source feed precedes
+	// every insertion, so a layer event at time t runs after the source
+	// tick at t.
 	Start(l *Loop)
 	// Admit gates a copy on arrival at node to over the edge from its
 	// sender. A refused copy is dropped before the trackers, the
@@ -286,6 +296,9 @@ type Loop struct {
 	cfg      Config
 	protocol Protocol
 	layer    Layer
+	// kinds holds the handlers of the layer's typed events, in
+	// registration order from kindLayer up.
+	kinds []func(now sim.Time, a, b repository.ID)
 	// obsNodes (indexed by node id) and tracer are non-nil only when
 	// cfg.Obs is set; the delivery path guards with one nil check.
 	obsNodes []*obs.Node
@@ -293,8 +306,9 @@ type Loop struct {
 }
 
 // NewLoop validates the run, builds its frame and initializes the
-// protocol; nothing is scheduled yet, so a caller attaching a Layer can
-// restore state into the protocol before Run starts the clock. The
+// protocol; nothing but the source feed is scheduled yet, so a caller
+// attaching a Layer can restore state into the protocol before Run
+// starts the clock. The
 // overlay must contain a parent path for every needed item (tree
 // builders guarantee this; the loop validates lazily by panicking inside
 // the engine otherwise).
@@ -306,6 +320,7 @@ func NewLoop(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*L
 	}
 	p.Init(o, f.initial)
 	l := &Loop{frame: f, overlay: o, cfg: cfg, protocol: p}
+	f.engine.Handle(l.handle)
 	if cfg.Obs != nil {
 		// Protocols carrying node cores (the distributed algorithm) attach
 		// per-node observers so the decision counters land in obs too.
@@ -323,12 +338,10 @@ func NewLoop(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*L
 	return l, nil
 }
 
-// Run queues the source ticks, starts the layer (nil runs without one),
-// runs the clock to the horizon and returns fidelity and work
-// statistics.
+// Run starts the layer (nil runs without one), runs the clock to the
+// horizon and returns fidelity and work statistics.
 func (l *Loop) Run(layer Layer) *Result {
 	l.layer = layer
-	l.scheduleSource(l.sourceTick)
 	if layer != nil {
 		layer.Start(l)
 	}
@@ -345,8 +358,32 @@ func Run(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Resul
 	return l.Run(nil), nil
 }
 
-// At schedules a layer's own event on the loop's clock.
+// handle is the engine's one handler: it dispatches a typed event by
+// kind.
+func (l *Loop) handle(now sim.Time, kind sim.Kind, p sim.Payload) {
+	switch kind {
+	case kindTick:
+		l.sourceTick(now, p)
+	case kindDeliver:
+		l.deliver(now, p)
+	default:
+		l.kinds[kind-kindLayer](now, repository.ID(p.To), repository.ID(p.From))
+	}
+}
+
+// At schedules a layer's own one-off event on the loop's clock.
 func (l *Loop) At(t sim.Time, fn func(now sim.Time)) { l.engine.At(t, fn) }
+
+// Kind registers fn as the handler of a new typed event kind carrying
+// two node ids and returns the call that schedules one. Unlike At it
+// allocates nothing per event — for a layer's periodic work.
+func (l *Loop) Kind(fn func(now sim.Time, a, b repository.ID)) func(t sim.Time, a, b repository.ID) {
+	kind := kindLayer + sim.Kind(len(l.kinds))
+	l.kinds = append(l.kinds, fn)
+	return func(t sim.Time, a, b repository.ID) {
+		l.engine.Schedule(t, kind, sim.Payload{To: int32(a), From: int32(b)})
+	}
+}
 
 // Resync ships one copy of (item, v) from node from to its dependent to
 // outside the protocol's filter — the catch-up push after a re-homing.
@@ -362,67 +399,71 @@ func (l *Loop) Resync(now sim.Time, from, to repository.ID, item string, v float
 	}); ok {
 		er.ResetEdge(from, to, item, v)
 	}
-	l.dispatch(now, l.overlay.Node(from), item, v, []Forward{{To: to}}, 0, emeta{born: now})
+	idx, ok := l.index[item]
+	if !ok {
+		panic(fmt.Sprintf("dissemination: resync of item %s, which has no trace", item))
+	}
+	l.dispatch(now, []Forward{{To: to}}, 0, sim.Payload{From: int32(from), Item: idx, V: v, Born: now})
 }
 
-// emeta is the observability context riding alongside an update through
-// the event graph: when it left the source, and its trace id (0 when
-// the update is not sampled).
-type emeta struct {
-	born sim.Time
-	tid  uint64
-}
-
-// sourceTick handles a changed value arriving at the source.
-func (l *Loop) sourceTick(now sim.Time, item string, v float64) {
+// sourceTick handles a changed value arriving at the source. From here
+// on p is the update on its way through the event graph: besides item
+// and value it carries the observability context — when it left the
+// source (Born) and its trace id (Trace, 0 when not sampled).
+func (l *Loop) sourceTick(now sim.Time, p sim.Payload) {
+	l.tick(now, p.Item, p.V)
+	item := l.items[p.Item]
 	if l.cfg.Observer != nil {
-		l.cfg.Observer.ObserveSource(now, item, v)
+		l.cfg.Observer.ObserveSource(now, item, p.V)
 	}
-	m := emeta{born: now}
+	p.From, p.Born = int32(repository.SourceID), now
 	if l.tracer != nil {
-		m.tid = l.tracer.Sample(item, repository.SourceID, int64(now))
+		p.Trace = l.tracer.Sample(item, repository.SourceID, int64(now))
 	}
-	fwd, checks := l.protocol.AtSource(item, v)
+	fwd, checks := l.protocol.AtSource(item, p.V)
 	if l.layer != nil {
-		l.layer.Applied(now, repository.SourceID, item, v)
+		l.layer.Applied(now, repository.SourceID, item, p.V)
 	}
 	l.stats.SourceChecks += uint64(checks)
-	l.dispatch(now, l.overlay.Source(), item, v, fwd, checks, m)
+	l.dispatch(now, fwd, checks, p)
 }
 
 // deliver handles an update copy arriving at a repository: record it for
-// fidelity, then let the protocol fan it out further. hop is the
+// fidelity, then let the protocol fan it out further. p.Hop is the
 // propagation delay since the copy's sender received (or sourced) the
-// update, from is the sender — the edge the copy arrived over.
-func (l *Loop) deliver(now sim.Time, node *repository.Repository, item string, v float64, tag coherency.Requirement, from repository.ID, hop sim.Time, m emeta) {
-	if l.layer != nil && !l.layer.Admit(now, node.ID, from) {
+// update, p.From is the sender — the edge the copy arrived over.
+func (l *Loop) deliver(now sim.Time, p sim.Payload) {
+	id, from := repository.ID(p.To), repository.ID(p.From)
+	if l.layer != nil && !l.layer.Admit(now, id, from) {
 		return
 	}
 	l.stats.Deliveries++
-	if t := l.byRepo[item][node.ID]; t != nil {
-		t.RepoUpdate(now, v)
+	if t := l.byRepo[p.Item][id]; t != nil {
+		t.RepoUpdate(now, p.V)
 	}
 	if l.obsNodes != nil {
-		on := l.obsNodes[node.ID]
-		on.ObserveHop(int64(hop))
-		on.ObserveSourceLatency(int64(now - m.born))
-		on.ObserveEdgeDelay(from, int64(hop))
-		l.tracer.Hop(m.tid, node.ID, int64(now))
+		on := l.obsNodes[id]
+		on.ObserveHop(int64(p.Hop))
+		on.ObserveSourceLatency(int64(now - p.Born))
+		on.ObserveEdgeDelay(from, int64(p.Hop))
+		l.tracer.Hop(p.Trace, id, int64(now))
 	}
+	item := l.items[p.Item]
 	if l.cfg.Observer != nil {
-		l.cfg.Observer.ObserveDeliver(now, node.ID, item, v)
+		l.cfg.Observer.ObserveDeliver(now, id, item, p.V)
 	}
-	fwd, checks := l.protocol.AtRepo(node, item, v, tag)
+	fwd, checks := l.protocol.AtRepo(l.overlay.Node(id), item, p.V, coherency.Requirement(p.Tag))
 	if l.layer != nil {
-		l.layer.Applied(now, node.ID, item, v)
+		l.layer.Applied(now, id, item, p.V)
 	}
 	l.stats.RepoChecks += uint64(checks)
-	l.dispatch(now, node, item, v, fwd, checks, m)
+	p.From = p.To
+	l.dispatch(now, fwd, checks, p)
 }
 
-// dispatch charges the node's computational delays for the checks and
-// sends, and schedules the resulting deliveries after the per-pair
-// communication delay.
+// dispatch charges node p.From's computational delays for the checks and
+// sends, and schedules the resulting deliveries of update p after the
+// per-pair communication delay.
 //
 // In the default (latency) model the k-th forwarded copy departs k
 // computational delays after the update arrives: a node with many
@@ -430,8 +471,8 @@ func (l *Loop) deliver(now sim.Time, node *repository.Repository, item string, v
 // effect of Section 3 — without successive updates queueing. In the
 // queueing model the node is a strict serial server and backlog carries
 // across updates.
-func (l *Loop) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []Forward, checks int, m emeta) {
-	st := &l.stations[from.ID]
+func (l *Loop) dispatch(now sim.Time, fwd []Forward, checks int, p sim.Payload) {
+	st := &l.stations[p.From]
 	var preamble sim.Time
 	if extra := checks - len(fwd); extra > 0 && l.cfg.CheckFrac > 0 {
 		preamble = sim.Time(float64(l.cfg.CompDelay) * l.cfg.CheckFrac * float64(extra))
@@ -442,7 +483,7 @@ func (l *Loop) dispatch(now sim.Time, from *repository.Repository, item string, 
 		}
 		for _, f := range fwd {
 			done := st.Acquire(now, l.cfg.CompDelay)
-			l.send(done, now, from, item, v, f, m)
+			l.send(done, now, f, p)
 		}
 		return
 	}
@@ -453,29 +494,18 @@ func (l *Loop) dispatch(now sim.Time, from *repository.Repository, item string, 
 	depart := now + preamble
 	for _, f := range fwd {
 		depart += l.cfg.CompDelay
-		l.send(depart, now, from, item, v, f, m)
+		l.send(depart, now, f, p)
 	}
 }
 
-// send emits one copy departing at the given time and schedules its
-// delivery after the wire delay. recvAt is when the sender received the
-// update — the anchor of the hop-delay measurement, so a hop includes
-// the sender's computational delay exactly as a wall-clock backend
-// would observe it.
-func (l *Loop) send(depart, recvAt sim.Time, from *repository.Repository, item string, v float64, f Forward, m emeta) {
+// send emits one copy of update p departing at the given time and
+// schedules its delivery after the wire delay. recvAt is when the sender
+// received the update — the anchor of the hop-delay measurement, so a
+// hop includes the sender's computational delay exactly as a wall-clock
+// backend would observe it.
+func (l *Loop) send(depart, recvAt sim.Time, f Forward, p sim.Payload) {
 	l.stats.Messages++
-	to := l.overlay.Node(f.To)
-	arrive := depart + l.overlay.Net.Delay[from.ID][f.To]
-	tag := f.Tag
-	if l.obsNodes == nil && l.layer == nil {
-		// With neither obs nor a layer attached nobody reads the edge or
-		// hop metadata, and the delivery closure must not grow: every
-		// in-flight copy is one of these, and capturing the metadata here
-		// costs ~32 B per message across the whole simulation.
-		l.engine.At(arrive, func(t sim.Time) { l.deliver(t, to, item, v, tag, 0, 0, emeta{}) })
-		return
-	}
-	fromID := from.ID
-	hop := arrive - recvAt
-	l.engine.At(arrive, func(t sim.Time) { l.deliver(t, to, item, v, tag, fromID, hop, m) })
+	arrive := depart + l.overlay.Net.Delay[p.From][f.To]
+	p.To, p.Tag, p.Hop = int32(f.To), float64(f.Tag), arrive-recvAt
+	l.engine.Schedule(arrive, kindDeliver, p)
 }

@@ -280,6 +280,12 @@ type layer struct {
 	killed []bool
 	walErr error
 
+	// beat, watch and heard schedule the layer's periodic events — a
+	// node's next heartbeat, its next watchdog pass, a heartbeat's arrival
+	// — as typed kinds of the loop; peers is their reused neighbor buffer.
+	beat, watch, heard func(t sim.Time, a, b repository.ID)
+	peers              []repository.ID
+
 	res         Stats
 	recoverySum sim.Time
 }
@@ -318,9 +324,10 @@ func (r *layer) noteErr(err error) {
 
 // Start implements dissemination.Layer: fault-plan events first, then
 // every node's heartbeat and watchdog — insertion order breaks timestamp
-// ties, and the source ticks are already queued.
+// ties, and the source feed precedes every insertion.
 func (r *layer) Start(l *dissemination.Loop) {
 	r.loop = l
+	r.beat, r.watch, r.heard = l.Kind(r.heartbeat), l.Kind(r.watchdog), l.Kind(r.heartbeatArrived)
 	for _, f := range r.faults {
 		id, kill := f.Node, f.Kill
 		l.At(f.At, func(now sim.Time) { r.crash(now, id, kill) })
@@ -334,10 +341,9 @@ func (r *layer) Start(l *dissemination.Loop) {
 	// parents to watch, but it must still drop dead children to free its
 	// connection slots for repairs.
 	for _, q := range r.o.Nodes {
-		id := q.ID
-		offset := sim.Time((int64(id)*7919 + 13) % int64(r.cfg.Heartbeat))
-		l.At(offset, func(now sim.Time) { r.heartbeat(now, id) })
-		l.At(offset+r.cfg.Heartbeat/2, func(now sim.Time) { r.watchdog(now, id) })
+		offset := sim.Time((int64(q.ID)*7919 + 13) % int64(r.cfg.Heartbeat))
+		r.beat(offset, q.ID, 0)
+		r.watch(offset+r.cfg.Heartbeat/2, q.ID, 0)
 	}
 }
 
@@ -466,51 +472,55 @@ func (r *layer) completeRejoin(now sim.Time, id repository.ID) {
 	}
 }
 
-// heartbeat sends keep-alives from id to its current overlay neighbors
-// (children and parents both, so each side can detect the other), then
-// reschedules itself.
-func (r *layer) heartbeat(now sim.Time, id repository.ID) {
-	r.loop.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.heartbeat(t, id) })
+// heartbeat reschedules itself, then sends keep-alives from id to its
+// current overlay neighbors (children and parents both, so each side can
+// detect the other): children ascending, then the parents that are not
+// also children, ascending — the arrivals' insertion order.
+func (r *layer) heartbeat(now sim.Time, id, _ repository.ID) {
+	r.beat(now+r.cfg.Heartbeat, id, 0)
 	if r.dead[id] {
 		return
 	}
-	neighbors := append(r.o.ChildrenOf(id), r.o.ParentsOf(id)...)
-	seen := make(map[repository.ID]bool, len(neighbors))
-	for _, nb := range neighbors {
-		if seen[nb] {
+	r.peers = r.o.AppendChildren(r.peers[:0], id)
+	kids, q := len(r.peers), r.o.Node(id)
+	r.peers = r.o.AppendParents(r.peers, id)
+	for i, nb := range r.peers {
+		if i >= kids && q.HasChild(nb) {
 			continue
 		}
-		seen[nb] = true
 		r.res.Heartbeats++
-		arrive := now + r.o.Net.Delay[id][nb]
-		nb := nb
-		r.loop.At(arrive, func(t sim.Time) {
-			if !r.dead[nb] {
-				r.lastHeard[nb][id] = t
-			}
-		})
+		r.heard(now+r.o.Net.Delay[id][nb], nb, id)
+	}
+}
+
+// heartbeatArrived resets nb's silence clock for the sender.
+func (r *layer) heartbeatArrived(now sim.Time, nb, from repository.ID) {
+	if !r.dead[nb] {
+		r.lastHeard[nb][from] = now
 	}
 }
 
 // watchdog is the per-repository detection pass: declare silent parents
 // dead and re-home their feeds, drop silent children, retry orphaned
 // feeds. It reschedules itself every heartbeat interval.
-func (r *layer) watchdog(now sim.Time, id repository.ID) {
-	r.loop.At(now+r.cfg.Heartbeat, func(t sim.Time) { r.watchdog(t, id) })
+func (r *layer) watchdog(now sim.Time, id, _ repository.ID) {
+	r.watch(now+r.cfg.Heartbeat, id, 0)
 	if r.dead[id] {
 		return
 	}
 	window := r.cfg.Window()
 	q := r.o.Node(id)
 
-	for _, pid := range r.o.ParentsOf(id) {
+	r.peers = r.o.AppendParents(r.peers[:0], id)
+	for _, pid := range r.peers {
 		if now-r.lastHeard[id][pid] < window {
 			continue
 		}
 		r.res.Detections++
 		r.rehomeFrom(now, q, pid)
 	}
-	for _, cid := range r.o.ChildrenOf(id) {
+	r.peers = r.o.AppendChildren(r.peers[:0], id)
+	for _, cid := range r.peers {
 		if now-r.lastHeard[id][cid] < window {
 			continue
 		}

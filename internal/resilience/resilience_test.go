@@ -268,3 +268,25 @@ func TestRehomeSyncResetsEdgeFilterState(t *testing.T) {
 		t.Fatal("update withheld against stale pre-reset edge state")
 	}
 }
+
+// TestIdleLayerAllocBudget pins that the layer's periodic events —
+// heartbeat, watchdog, heartbeat arrival, most of an idle-layer run — are
+// typed events over a reused neighbour buffer: a whole fault-free run,
+// set-up included, allocates well under one object per event (closures
+// and fresh neighbour lists per beat cost about three).
+func TestIdleLayerAllocBudget(t *testing.T) {
+	o, l, traces := fixture(t, 20, 10, 4, 400, 3)
+	var events uint64
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := Run(o, l, traces, dissemination.NewDistributed(), Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = res.Stats.Events
+	})
+	if perEvent := allocs / float64(events); perEvent >= 0.2 {
+		t.Errorf("idle-layer run: %.0f allocations over %d events (%.2f per event), want < 0.2", allocs, events, perEvent)
+	} else {
+		t.Logf("idle-layer run: %.0f allocations over %d events (%.3f per event)", allocs, events, perEvent)
+	}
+}

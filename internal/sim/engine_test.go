@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -241,19 +242,178 @@ func TestNewRandDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkEngine(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+// TestEngineMatchesReferenceSort is the engine's model test: a seeded
+// random mix of lane events, typed events, closure events and events
+// scheduled from inside handlers (also at the current time) runs in
+// exactly the order of a reference sort by (time, insertion sequence) —
+// the lane's events standing for insertions made before any other, cursor
+// by cursor. RunUntil leaves later events queued, and Pending and
+// Processed account for every event.
+func TestEngineMatchesReferenceSort(t *testing.T) {
+	const laneKind, typedKind Kind = 1, 2
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type ref struct {
+			at  Time
+			seq int // insertion sequence; lane events come first
+			id  int32
+		}
+		var want []ref
+		var got []int32
+		nextID := int32(0)
+		seq := 0
 		e := New()
-		var count int
-		var schedule func(now Time)
-		schedule = func(now Time) {
-			count++
-			if count < 1000 {
-				e.After(1, schedule)
+
+		// The lane: up to 4 cursors over time-ordered slices, ties allowed
+		// within and across cursors.
+		cursors := make([][]ref, rng.Intn(5))
+		for c := range cursors {
+			at := Time(rng.Intn(5))
+			for i := rng.Intn(12); i > 0; i-- {
+				at += Time(rng.Intn(3))
+				r := ref{at: at, seq: seq, id: nextID}
+				cursors[c] = append(cursors[c], r)
+				want = append(want, r)
+				seq, nextID = seq+1, nextID+1
 			}
 		}
-		e.At(0, schedule)
+		heapLeft, liveCursors := 0, len(cursors)
+
+		// schedule queues one event at a random time >= from, typed or
+		// closure; either way running it may schedule more.
+		var schedule func(from Time, depth int)
+		var ran func(now Time, id int32, depth int)
+		schedule = func(from Time, depth int) {
+			at := from + Time(rng.Intn(6)) // 0: at the current time
+			id := nextID
+			want = append(want, ref{at: at, seq: seq, id: id})
+			seq, nextID, heapLeft = seq+1, nextID+1, heapLeft+1
+			if rng.Intn(2) == 0 {
+				e.Schedule(at, typedKind, Payload{Item: id, To: int32(depth)})
+			} else {
+				e.At(at, func(now Time) { ran(now, id, depth) })
+			}
+		}
+		ran = func(now Time, id int32, depth int) {
+			if now != e.Now() {
+				t.Fatalf("seed %d: handler saw %v, clock at %v", seed, now, e.Now())
+			}
+			got = append(got, id)
+			heapLeft--
+			for n := rng.Intn(3); n > 0 && depth < 4; n-- {
+				schedule(now, depth+1)
+			}
+		}
+		e.Handle(func(now Time, kind Kind, p Payload) {
+			if kind == laneKind {
+				got = append(got, p.Item)
+				return
+			}
+			ran(now, p.Item, int(p.To))
+		})
+		e.SetLane(laneKind, len(cursors), func(c int) (Time, Payload, bool) {
+			if len(cursors[c]) == 0 {
+				liveCursors--
+				return 0, Payload{}, false
+			}
+			r := cursors[c][0]
+			cursors[c] = cursors[c][1:]
+			return r.at, Payload{Item: r.id}, true
+		})
+		for n := rng.Intn(20); n > 0; n-- {
+			schedule(0, 0)
+		}
+
+		// Stop half way: exactly the events up to the deadline have run,
+		// and the rest is queued — of the lane, one head per live cursor.
+		const deadline = 6
+		ranFirst := e.RunUntil(deadline)
+		due := 0
+		for _, r := range want {
+			if r.at <= deadline {
+				due++
+			}
+		}
+		if e.Now() != deadline || ranFirst != uint64(due) || len(got) != due || e.Processed() != ranFirst {
+			t.Fatalf("seed %d: RunUntil(%d) ran %d events (%d handled, Processed %d, clock %v), %d were due",
+				seed, deadline, ranFirst, len(got), e.Processed(), e.Now(), due)
+		}
+		if e.Pending() != heapLeft+liveCursors {
+			t.Fatalf("seed %d: Pending %d, want %d in the heap + %d lane heads", seed, e.Pending(), heapLeft, liveCursors)
+		}
 		e.Run()
+
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(got) != len(want) || e.Processed() != uint64(len(want)) || e.Pending() != 0 {
+			t.Fatalf("seed %d: ran %d of %d events, Processed %d, Pending %d", seed, len(got), len(want), e.Processed(), e.Pending())
+		}
+		for i := range want {
+			if got[i] != want[i].id {
+				t.Fatalf("seed %d: event %d ran id %d, reference order has id %d (at %v)", seed, i, got[i], want[i].id, want[i].at)
+			}
+		}
 	}
+}
+
+// TestEngineStepAllocFree pins the steady state of the typed path: once
+// the heap slice has grown, scheduling and running a typed event — from
+// the heap or from the lane — allocates nothing. (Handing the handler a
+// pointer into the popped event would cost one allocation per step.)
+func TestEngineStepAllocFree(t *testing.T) {
+	e := New()
+	var sum int32
+	e.Handle(func(_ Time, _ Kind, p Payload) { sum += p.Item })
+	var laneAt Time
+	e.SetLane(1, 2, func(c int) (Time, Payload, bool) {
+		laneAt++
+		return laneAt, Payload{Item: int32(c)}, true
+	})
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i), 2, Payload{})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+Time(sum%7), 2, Payload{Item: 1})
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("typed Schedule+Step allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkEngine is the layer's own number: one event scheduled and run
+// per iteration over a queue 256 deep (sim-plain keeps a few hundred
+// copies in flight), as a closure and as a typed event.
+func BenchmarkEngine(b *testing.B) {
+	const depth = 256
+	b.Run("closure", func(b *testing.B) {
+		e := New()
+		var again func(now Time)
+		again = func(now Time) { e.At(now+depth, again) }
+		for i := 0; i < depth; i++ {
+			e.At(Time(i), again)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
+	b.Run("typed", func(b *testing.B) {
+		e := New()
+		e.Handle(func(now Time, kind Kind, p Payload) { e.Schedule(now+depth, kind, p) })
+		for i := 0; i < depth; i++ {
+			e.Schedule(Time(i), 1, Payload{})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
 }

@@ -159,7 +159,7 @@ func (o *Overlay) Remove(id repository.ID) error {
 		// Dependents are named in the canonical repo<id> form
 		// (repository.ID.String), like every user-visible report.
 		return fmt.Errorf("tree: %v still serves dependents %v; only leaves can depart (use RemoveRepair, or re-home them first)",
-			id, dependentsOf(o, q))
+			id, dependentsOf(nil, o, q))
 	}
 	for _, n := range o.Nodes {
 		if n == nil || n.ID == id {

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"d3t/internal/coherency"
@@ -177,7 +178,7 @@ func augment(o *Overlay, p *repository.Repository, x string, c coherency.Require
 	// random and asks it to serve x (no new push connection is needed —
 	// p is already that parent's child).
 	var parent *repository.Repository
-	if parents := distinctParents(p); len(parents) > 0 {
+	if parents := distinctParents(nil, p); len(parents) > 0 {
 		parent = o.Node(parents[rng.Intn(len(parents))])
 	} else {
 		// p entered the overlay with no data needs, so it has no feeds at
@@ -203,22 +204,21 @@ func augment(o *Overlay, p *repository.Repository, x string, c coherency.Require
 	return nil
 }
 
-// distinctParents lists p's parent ids over all items (falling back to the
-// liaison parent), sorted and deduped for deterministic random selection.
-func distinctParents(p *repository.Repository) []repository.ID {
-	set := make(map[repository.ID]bool)
+// distinctParents appends to dst p's parent ids over all items (falling
+// back to the liaison parent), sorted and deduped for deterministic
+// random selection.
+func distinctParents(dst []repository.ID, p *repository.Repository) []repository.ID {
+	start := len(dst)
 	for _, id := range p.Parents {
-		set[id] = true
+		if !slices.Contains(dst[start:], id) {
+			dst = append(dst, id)
+		}
 	}
-	if len(set) == 0 && p.Liaison != repository.NoID {
-		set[p.Liaison] = true
+	if len(dst) == start && p.Liaison != repository.NoID {
+		dst = append(dst, p.Liaison)
 	}
-	out := make([]repository.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // delayMs returns the physical delay between two overlay nodes in

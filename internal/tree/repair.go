@@ -233,7 +233,17 @@ func (l *LeLA) AdoptFeed(o *Overlay, parent, d *repository.Repository, x string,
 // sorted. Both reflect the overlay's current wiring, so repair code can
 // call them after every mutation.
 func (o *Overlay) ChildrenOf(id repository.ID) []repository.ID {
-	return dependentsOf(o, o.Node(id))
+	return dependentsOf(nil, o, o.Node(id))
+}
+
+// AppendChildren appends ChildrenOf(id) to dst, AppendParents appends
+// ParentsOf(id): for callers on a periodic path that keep a buffer.
+func (o *Overlay) AppendChildren(dst []repository.ID, id repository.ID) []repository.ID {
+	return dependentsOf(dst, o, o.Node(id))
+}
+
+func (o *Overlay) AppendParents(dst []repository.ID, id repository.ID) []repository.ID {
+	return distinctParents(dst, o.Node(id))
 }
 
 // Subtree returns id plus every node transitively downstream of it —
@@ -244,7 +254,7 @@ func (o *Overlay) Subtree(id repository.ID) map[repository.ID]bool {
 
 // ParentsOf lists id's distinct parents over all items, sorted.
 func (o *Overlay) ParentsOf(id repository.ID) []repository.ID {
-	return distinctParents(o.Node(id))
+	return distinctParents(nil, o.Node(id))
 }
 
 // subtreeOf returns d plus every node transitively downstream of it over
@@ -295,7 +305,7 @@ func (l *LeLA) RemoveRepair(o *Overlay, id repository.ID) error {
 
 	// Re-home every (dependent, item) feed through q, dependents in id
 	// order for determinism.
-	for _, depID := range dependentsOf(o, q) {
+	for _, depID := range dependentsOf(nil, o, q) {
 		d := o.Node(depID)
 		items := make([]string, 0, len(d.Parents))
 		for x, pid := range d.Parents {
@@ -332,15 +342,14 @@ func (l *LeLA) RemoveRepair(o *Overlay, id repository.ID) error {
 	return o.Remove(id)
 }
 
-// dependentsOf lists a node's distinct dependents — including
+// dependentsOf appends to dst a node's distinct dependents — including
 // liaison-only children, which appear in the connection set but not in
 // Dependents — sorted for deterministic iteration.
-func dependentsOf(o *Overlay, q *repository.Repository) []repository.ID {
-	var out []repository.ID
+func dependentsOf(dst []repository.ID, o *Overlay, q *repository.Repository) []repository.ID {
 	for _, n := range o.Nodes {
 		if n.ID != q.ID && q.HasChild(n.ID) {
-			out = append(out, n.ID)
+			dst = append(dst, n.ID)
 		}
 	}
-	return out // o.Nodes is id-ordered, so out already is
+	return dst // o.Nodes is id-ordered, so the appended ids already are
 }

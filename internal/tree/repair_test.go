@@ -30,7 +30,7 @@ func TestRemoveNamesDependents(t *testing.T) {
 	if err == nil {
 		t.Fatalf("interior removal of %d accepted", q.ID)
 	}
-	for _, dep := range dependentsOf(o, q) {
+	for _, dep := range dependentsOf(nil, o, q) {
 		if !strings.Contains(err.Error(), fmt.Sprintf("%d", dep)) {
 			t.Errorf("error %q does not name dependent %d", err, dep)
 		}
@@ -40,7 +40,7 @@ func TestRemoveNamesDependents(t *testing.T) {
 func TestRemoveRepairDepartsInteriorNode(t *testing.T) {
 	o, l := dynFixture(t, 14, 14, 10, 4, 6)
 	q := interiorNode(t, o)
-	deps := dependentsOf(o, q)
+	deps := dependentsOf(nil, o, q)
 
 	if err := l.RemoveRepair(o, q.ID); err != nil {
 		t.Fatalf("RemoveRepair(%d): %v", q.ID, err)
