@@ -69,9 +69,9 @@ func main() {
 	flag.StringVar(&cfg.SessionChurn, "session-churn", cfg.SessionChurn,
 		"session arrival/departure plan, same grammar as -faults over the client population")
 	flag.IntVar(&cfg.VirtualSessions, "virtual-sessions", cfg.VirtualSessions,
-		"virtual sessions served as compact per-shard state (0 = off; mutually exclusive with -clients/-query)")
+		"synthetic sessions generated straight into the session store (0 = off)")
 	flag.StringVar(&cfg.Scenario, "scenario", cfg.Scenario,
-		"scenario over the virtual population: flash:at=0.3,frac=0.5,burst=0.2 | regional:at=0.4,frac=0.25,rejoin=0.7 | diurnal:waves=2,low=0.3")
+		"scenario over the synthetic population: flash:at=0.3,frac=0.5,burst=0.2 | regional:at=0.4,frac=0.25,rejoin=0.7 | diurnal:waves=2,low=0.3")
 	flag.Var(&queries, "query", "derived-data query spec, repeatable — e.g. 'avg(w=5;ITEM000,ITEM001,ITEM002)@0.05' or 'diff(ITEM000,ITEM001)@0.1!client'")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	flag.Parse()
@@ -165,7 +165,7 @@ func main() {
 		}
 		fmt.Printf("heartbeats          %d\n", r.Heartbeats)
 	}
-	if c := out.Clients; c != nil {
+	if c := out.Clients; c != nil && out.VServe == nil { // with synthetic sessions too, the block below covers the one store
 		fmt.Printf("client sessions     %d (cap %d, %d redirected at admission)\n",
 			c.Sessions, cfg.SessionCap, c.Redirects)
 		fmt.Printf("client fidelity     %.4f mean, %.4f worst (loss %.2f%%)\n",

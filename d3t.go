@@ -20,23 +20,22 @@
 //     RunPull, RunLease) for custom setups.
 //   - Live runtimes: the live subpackage runs the same algorithms on
 //     goroutines in real time, and netio serves them over TCP.
-//   - Client serving: ClientFleet (and Config.Clients) attaches end-user
-//     sessions with their own tolerances to repositories — load-aware
-//     placement, per-client filtered fan-out, churn/migration, and
-//     client-observed fidelity; live and netio serve sessions over
+//   - Client serving: VirtualFleet (and Config.Clients /
+//     Config.VirtualSessions) attaches end-user sessions with their own
+//     tolerances to repositories — load-aware placement, per-client
+//     filtered fan-out, churn/migration, and client-observed fidelity.
+//     It is the one session store: sessions are compact per-shard array
+//     state instead of one object each, so named clients, query input
+//     sessions and millions of synthetic sessions share one process.
+//     Placement goes through a shared nearest-k index with a
+//     consistent-hash overflow ring, and Config.Scenario schedules
+//     flash crowds, correlated regional failures and diurnal load waves
+//     over the synthetic population. live and netio serve sessions over
 //     channels and TCP subscriptions.
 //   - Sharded ingest: Config.Shards/Config.BatchTicks hash-partition
 //     independent items across parallel workers and coalesce update
 //     bursts into batches — the same partition drives the simulator,
 //     live's per-shard batch channels, and netio's multi-update frames.
-//   - Virtual serving: VirtualFleet (and Config.VirtualSessions) serves
-//     sessions as compact per-shard array state instead of one object
-//     each — millions of sessions in one process with the exact serving
-//     semantics of ClientFleet (the two are parity-tested). Placement
-//     goes through a shared nearest-k index with a consistent-hash
-//     overflow ring, and Config.Scenario schedules flash crowds,
-//     correlated regional failures and diurnal load waves over the
-//     population.
 //   - Durability: Config.Durability (and the WAL building blocks) backs
 //     every repository with a per-shard write-ahead log plus periodic
 //     snapshots, group-committed on batch boundaries. A killed
@@ -51,7 +50,7 @@
 //     tolerance allocation translates cQ into per-input tolerances the
 //     Eq. 3+7 machinery enforces, so coherent inputs provably imply a
 //     coherent result. All three runtimes serve query sessions
-//     (ClientFleet.AttachQueries, live SubscribeQuery, netio
+//     (VirtualFleet.AttachQueries, live SubscribeQuery, netio
 //     SubscribeQuery).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -71,7 +70,6 @@ import (
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
-	"d3t/internal/vserve"
 	"d3t/internal/wal"
 )
 
@@ -367,16 +365,23 @@ func GenerateClients(w ClientWorkload) ([]*Client, error) {
 // Serving layer ---------------------------------------------------------
 
 type (
-	// ClientFleet is a population of client sessions served by the
-	// repositories of one run: load-aware placement under a session cap,
-	// per-client coherency-filtered fan-out (Eq. 3 at the leaf), churn
-	// and crash-driven migration, and client-observed fidelity. It
-	// implements the run observers, so assign it to PushConfig.Observer
+	// VirtualFleet is the session store of one run: load-aware placement
+	// under a session cap, per-client coherency-filtered fan-out (Eqs.
+	// 3+7 at the leaf), churn and crash-driven migration, and
+	// client-observed fidelity, over compact per-shard struct-of-arrays
+	// state — no per-session object, no goroutine. It implements the run
+	// observers, so assign it to PushConfig.Observer
 	// (ResilienceConfig.Push.Observer under RunResilient) to serve a
-	// simulation's clients.
-	ClientFleet = serve.Fleet
-	// FleetOptions parameterizes a fleet (session cap, churn plan).
-	FleetOptions = serve.Options
+	// simulation's sessions. AttachAll admits a named Client slice,
+	// Populate a synthetic population of millions without materializing
+	// clients, AttachQueries the options' query catalogue.
+	VirtualFleet = serve.Fleet
+	// VirtualFleetOptions parameterizes a fleet (cap, churn plan,
+	// scenario, shard count, overflow ring, query catalogue).
+	VirtualFleetOptions = serve.Options
+	// VirtualSynthetic parameterizes a compact synthetic population —
+	// the GenerateClients distribution without per-client objects.
+	VirtualSynthetic = serve.Synthetic
 	// RunObserver receives a simulation's source ticks and deliveries
 	// (PushConfig.Observer).
 	RunObserver = dissemination.Observer
@@ -386,11 +391,11 @@ type (
 	ResilienceObserver = resilience.Observer
 )
 
-// NewClientFleet builds an empty fleet over the repository population
-// (ids 1..n, matching the network's endpoints). Attach the clients, seed
-// the initial values once the overlay is built, run with the fleet as
-// the observer, then Finalize.
-func NewClientFleet(net *Network, repos []*Repository, opts FleetOptions) (*ClientFleet, error) {
+// NewVirtualFleet builds an empty fleet over the repository population
+// (ids 1..n, matching the network's endpoints). AttachAll, Populate or
+// AttachQueries the sessions, DeriveNeeds, build the overlay, Seed, run
+// with the fleet as the observer, then Finalize.
+func NewVirtualFleet(net *Network, repos []*Repository, opts VirtualFleetOptions) (*VirtualFleet, error) {
 	return serve.NewFleet(net, repos, opts)
 }
 
@@ -398,38 +403,10 @@ func NewClientFleet(net *Network, repos []*Repository, opts FleetOptions) (*Clie
 // the session population) from a spec string such as "churn:5:40" or
 // "crash:3@100+50", sized to `sessions` clients over `ticks` trace
 // ticks. The same grammar as ParseFaultPlan, applied to sessions; the
-// result feeds FleetOptions.Plan and Config.SessionChurn accepts the
-// same specs.
+// result feeds VirtualFleetOptions.Plan and Config.SessionChurn accepts
+// the same specs.
 func ParseSessionPlan(spec string, sessions, ticks int, interval Time, seed int64) (*FaultPlan, error) {
 	return serve.ParseSessionPlan(spec, sessions, ticks, interval, seed)
-}
-
-// Virtual serving layer -------------------------------------------------
-
-type (
-	// VirtualFleet serves sessions as compact per-shard struct-of-arrays
-	// state — no per-session object, no goroutine — with the exact
-	// serving semantics of ClientFleet (filtering, resync, redirect,
-	// migration, fidelity; the two are parity-tested). It implements the
-	// run observers, so assign it to PushConfig.Observer like a
-	// ClientFleet. Populate admits a synthetic population of millions
-	// without materializing clients; AttachAll admits a concrete Client
-	// slice.
-	VirtualFleet = vserve.Fleet
-	// VirtualFleetOptions parameterizes a virtual fleet (cap, churn plan,
-	// scenario, shard count, overflow ring, parallel delivery workers).
-	VirtualFleetOptions = vserve.Options
-	// VirtualSynthetic parameterizes a compact synthetic population —
-	// the GenerateClients distribution without per-client objects.
-	VirtualSynthetic = vserve.Synthetic
-)
-
-// NewVirtualFleet builds an empty virtual fleet over the repository
-// population (ids 1..n, matching the network's endpoints). Populate or
-// AttachAll the sessions, DeriveNeeds, build the overlay, Seed, run with
-// the fleet as the observer, then Finalize.
-func NewVirtualFleet(net *Network, repos []*Repository, opts VirtualFleetOptions) (*VirtualFleet, error) {
-	return vserve.NewFleet(net, repos, opts)
 }
 
 // Query layer -----------------------------------------------------------

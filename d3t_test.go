@@ -264,7 +264,7 @@ func TestFacadeClientServing(t *testing.T) {
 	// repository full and legitimately land somewhere that serves it less
 	// stringently — a real fidelity cost the capped tests accept. Uncapped
 	// and fault-free, the serving layer must be lossless.
-	fleet, err := NewClientFleet(net, members, FleetOptions{Plan: plan})
+	fleet, err := NewVirtualFleet(net, members, VirtualFleetOptions{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +273,7 @@ func TestFacadeClientServing(t *testing.T) {
 	if err := fleet.AttachAll(clients); err != nil {
 		t.Fatal(err)
 	}
-	if err := DeriveNeeds(members, clients); err != nil {
-		t.Fatal(err)
-	}
+	fleet.DeriveNeeds()
 	overlay, err := NewLeLA(5, 24).Build(net, members, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -305,13 +303,13 @@ func TestFacadeClientServing(t *testing.T) {
 	if stats.MeanFidelity != 1 {
 		t.Errorf("client fidelity %v under ideal conditions, want 1", stats.MeanFidelity)
 	}
-	fid := fleet.ClientFidelity(res.Horizon)
-	if len(fid) != 24 {
-		t.Errorf("per-client fidelity has %d entries, want 24", len(fid))
-	}
-	for name, f := range fid {
-		if f != 1 {
-			t.Errorf("client %s fidelity %v, want 1", name, f)
+	for _, c := range clients {
+		s, ok := fleet.Session(c.Name)
+		if !ok {
+			t.Fatalf("client %s has no session", c.Name)
+		}
+		if f := s.Fidelity(res.Horizon); f != 1 {
+			t.Errorf("client %s fidelity %v, want 1", c.Name, f)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Flashcrowd: the virtual serving fleet under a flash crowd. Sessions
-// are compact per-shard array state (no object, no goroutine per
-// session), so one process holds populations the concrete fleet cannot —
-// here 50,000 sessions over 30 repositories. Half the population starts
+// Flashcrowd: the serving fleet under a flash crowd. Sessions are
+// compact per-shard array state (no object, no goroutine per session),
+// so one process holds large populations — here 50,000 synthetic
+// sessions over 30 repositories. Half the population starts
 // detached and slams onto the hottest item in a Pareto burst; every
 // arrival is placed through the shared nearest-k index (overflowing
 // through the consistent-hash ring under the session cap) and resyncs

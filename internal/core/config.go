@@ -99,13 +99,11 @@ type Config struct {
 	// Faults, over the session population — see serve.ParseSessionPlan).
 	SessionChurn string
 
-	// VirtualSessions enables the virtual serving fleet (internal/vserve):
-	// the number of synthetic end-user sessions kept as compact per-shard
-	// struct-of-arrays state instead of one Session object each, sharing
-	// the concrete fleet's placement, filtering and fidelity semantics
-	// (the two are parity-tested). Use it to push the serving layer to
-	// populations the concrete fleet cannot hold — millions of sessions
-	// in one process. Mutually exclusive with Clients and Queries; reuses
+	// VirtualSessions is the number of synthetic end-user sessions the
+	// serving layer generates straight into its session store
+	// (internal/serve) without materializing a Client per session — the
+	// way to push the layer to millions of sessions in one process. It
+	// composes with Clients (admitted first) and Queries; reuses
 	// ItemsPerClient, StringentFrac, SessionCap and SessionChurn. With a
 	// SessionCap set, overflow placement goes through the index's
 	// consistent-hash ring instead of long nearest-first walks.
@@ -244,9 +242,6 @@ func (c Config) Validate() error {
 	if c.VirtualSessions < 0 {
 		return fmt.Errorf("core: negative virtual session count %d", c.VirtualSessions)
 	}
-	if c.VirtualSessions > 0 && (c.ClientsEnabled() || c.QueriesEnabled()) {
-		return fmt.Errorf("core: VirtualSessions is mutually exclusive with Clients and Queries")
-	}
 	if c.Scenario != "" && c.Scenario != "none" && c.VirtualSessions == 0 {
 		return fmt.Errorf("core: scenario %q needs VirtualSessions > 0", c.Scenario)
 	}
@@ -296,11 +291,12 @@ func (d DurabilityConfig) walOptions() *wal.Options {
 // ClientsEnabled reports whether the run serves a client population.
 func (c Config) ClientsEnabled() bool { return c.Clients > 0 }
 
-// VirtualEnabled reports whether the run serves a virtual session fleet.
+// VirtualEnabled reports whether the run serves a synthetic session
+// population.
 func (c Config) VirtualEnabled() bool { return c.VirtualSessions > 0 }
 
 // scenarioPlan parses and schedules the configured scenario over the
-// virtual population (nil when no scenario is configured).
+// synthetic population (nil when no scenario is configured).
 func (c Config) scenarioPlan() (*trace.ScenarioPlan, error) {
 	spec, err := trace.ParseScenario(c.Scenario)
 	if err != nil || spec == nil {
@@ -334,14 +330,11 @@ func (c Config) IngestEnabled() bool {
 		!c.Durability.Enabled()
 }
 
-// sessionPlan parses the configured session-churn plan over whichever
-// session population the run serves — concrete clients or virtual
-// sessions (nil when neither is enabled or no churn is configured).
+// sessionPlan parses the configured session-churn plan over the session
+// population the run serves — named clients, then synthetic sessions
+// (nil when neither is enabled or no churn is configured).
 func (c Config) sessionPlan() (*resilience.Plan, error) {
-	n := c.Clients
-	if c.VirtualEnabled() {
-		n = c.VirtualSessions
-	}
+	n := c.Clients + c.VirtualSessions
 	if n == 0 {
 		return nil, nil
 	}

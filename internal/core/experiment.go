@@ -13,7 +13,6 @@ import (
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
-	"d3t/internal/vserve"
 )
 
 // Outcome is the measured result of one simulation run.
@@ -38,15 +37,14 @@ type Outcome struct {
 	// Resilience carries fault-injection and repair counters; nil when the
 	// run had Faults disabled.
 	Resilience *resilience.Stats
-	// Clients carries the serving layer's outcome — client-observed
-	// fidelity, redirect/migration counters, per-session fan-out work;
-	// nil when the run had Clients disabled.
+	// Clients and VServe carry the serving layer's outcome — client-observed
+	// fidelity, redirect/migration counters, per-session fan-out work,
+	// shard count and the measured resident bytes per session. A run has
+	// one session store, so both describe its whole population (named
+	// clients plus synthetic sessions); Clients is nil when the run had
+	// Clients disabled, VServe when it had VirtualSessions disabled.
 	Clients *serve.Stats
-	// VServe carries the virtual serving fleet's outcome — the same
-	// serving-layer stats as Clients plus shard count and the measured
-	// resident bytes per session; nil when the run had VirtualSessions
-	// disabled.
-	VServe *vserve.Stats
+	VServe  *serve.Stats
 	// Queries carries the derived-data query layer's outcome —
 	// result-level fidelity against the allocation's union-bound floor,
 	// eval/recompute counters and per-placement message costs; nil when
@@ -92,77 +90,23 @@ func RunExperiment(cfg Config) (*Outcome, error) {
 // shared across concurrent calls; everything mutable (repositories, the
 // overlay, trackers) is created here, per run.
 func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (*Outcome, error) {
-	// With a client population configured, repository needs come from the
-	// placed clients (Section 1.2) instead of the subscription workload:
-	// each client session attaches to the nearest repository under the
-	// session cap, and the repository's requirement for an item becomes
-	// the most stringent across its clients.
+	// With a serving population configured — named clients, synthetic
+	// sessions, derived-data queries, in any combination — repository
+	// needs come from the placed sessions (Section 1.2) instead of the
+	// subscription workload: each session attaches to the nearest
+	// repository under the session cap, and the repository's requirement
+	// for an item becomes the most stringent across its sessions.
 	var repos []*repository.Repository
 	var fleet *serve.Fleet
-	var vfleet *vserve.Fleet
 	var scenFaults *resilience.Plan
-	if cfg.VirtualEnabled() {
-		// The virtual serving fleet: the same serving semantics as the
-		// concrete fleet below over compact per-shard session state, for
-		// populations the concrete fleet cannot hold. Needs derive from
-		// the registered virtual population; scenario repository faults
-		// attach the resilience layer to the run.
+	if cfg.ClientsEnabled() || cfg.VirtualEnabled() || cfg.QueriesEnabled() {
 		repos = cfg.bareRepositories()
+		catalogue := itemCatalogue(traces)
 		plan, err := cfg.sessionPlan()
 		if err != nil {
 			return nil, err
 		}
 		scen, err := cfg.scenarioPlan()
-		if err != nil {
-			return nil, err
-		}
-		interval := cfg.interval()
-		vopts := vserve.Options{
-			Cap: cfg.SessionCap, Plan: plan, Scenario: scen,
-			Interval: interval, Obs: cfg.Obs,
-		}
-		if cfg.SessionCap > 0 {
-			// Under a cap, overflow placement hashes onto the consistent
-			// ring instead of walking ever-longer nearest-first prefixes.
-			vopts.RingSlots = 16
-		}
-		vfleet, err = vserve.NewFleet(net, repos, vopts)
-		if err != nil {
-			return nil, err
-		}
-		if err := vfleet.Populate(vserve.Synthetic{
-			Sessions:       cfg.VirtualSessions,
-			Items:          itemCatalogue(traces),
-			ItemsPerClient: cfg.ItemsPerClient,
-			StringentFrac:  cfg.StringentFrac,
-			Seed:           cfg.Seed + 13,
-		}); err != nil {
-			return nil, err
-		}
-		vfleet.DeriveNeeds()
-		if scen != nil && len(scen.Faults) > 0 {
-			p := &resilience.Plan{Spec: scen.Spec}
-			for _, ft := range scen.Faults {
-				rf := resilience.Fault{Node: repository.ID(ft.Repo), At: sim.Time(ft.Tick) * interval}
-				if ft.RejoinTick >= 0 {
-					rf.RejoinAt = sim.Time(ft.RejoinTick) * interval
-				}
-				p.Faults = append(p.Faults, rf)
-			}
-			scenFaults = p
-		}
-	} else if cfg.ClientsEnabled() || cfg.QueriesEnabled() {
-		repos = cfg.bareRepositories()
-		catalogue := itemCatalogue(traces)
-		var clients []*repository.Client
-		if cfg.ClientsEnabled() {
-			var err error
-			clients, err = cfg.clients(catalogue)
-			if err != nil {
-				return nil, err
-			}
-		}
-		plan, err := cfg.sessionPlan()
 		if err != nil {
 			return nil, err
 		}
@@ -181,25 +125,57 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 				}
 			}
 		}
-		fleet, err = serve.NewFleet(net, repos, serve.Options{
-			Cap: cfg.SessionCap, Plan: plan, Obs: cfg.Obs,
-			Queries: queries, Interval: cfg.interval(),
-		})
+		interval := cfg.interval()
+		opts := serve.Options{
+			Cap: cfg.SessionCap, Plan: plan, Scenario: scen,
+			Interval: interval, Obs: cfg.Obs, Queries: queries,
+		}
+		if cfg.VirtualEnabled() && cfg.SessionCap > 0 {
+			// Under a cap, a synthetic population's overflow placement
+			// hashes onto the consistent ring instead of walking
+			// ever-longer nearest-first prefixes; a run of named clients
+			// alone keeps strict nearest-first overflow.
+			opts.RingSlots = 16
+		}
+		fleet, err = serve.NewFleet(net, repos, opts)
 		if err != nil {
 			return nil, err
 		}
-		if err := fleet.AttachAll(clients); err != nil {
+		if cfg.ClientsEnabled() {
+			clients, err := cfg.clients(catalogue)
+			if err != nil {
+				return nil, err
+			}
+			if err := fleet.AttachAll(clients); err != nil {
+				return nil, err
+			}
+		}
+		if cfg.VirtualEnabled() {
+			if err := fleet.Populate(serve.Synthetic{
+				Sessions:       cfg.VirtualSessions,
+				Items:          catalogue,
+				ItemsPerClient: cfg.ItemsPerClient,
+				StringentFrac:  cfg.StringentFrac,
+				Seed:           cfg.Seed + 13,
+			}); err != nil {
+				return nil, err
+			}
+		}
+		if err := fleet.AttachQueries(); err != nil {
 			return nil, err
 		}
-		// Query sessions fold into need derivation as synthetic clients:
-		// the overlay then provably serves every query input at least as
-		// stringently as the tolerance allocation demands.
-		qclients, err := fleet.AttachQueries()
-		if err != nil {
-			return nil, err
-		}
-		if err := repository.DeriveNeeds(repos, append(append([]*repository.Client(nil), clients...), qclients...)); err != nil {
-			return nil, err
+		fleet.DeriveNeeds()
+		// Scenario repository faults attach the resilience layer to the
+		// run.
+		if scen != nil && len(scen.Faults) > 0 {
+			scenFaults = &resilience.Plan{Spec: scen.Spec}
+			for _, ft := range scen.Faults {
+				rf := resilience.Fault{Node: repository.ID(ft.Repo), At: sim.Time(ft.Tick) * interval}
+				if ft.RejoinTick >= 0 {
+					rf.RejoinAt = sim.Time(ft.RejoinTick) * interval
+				}
+				scenFaults.Faults = append(scenFaults.Faults, rf)
+			}
 		}
 	} else {
 		repos = cfg.repositories(traces)
@@ -236,7 +212,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		Queueing:  cfg.Queueing,
 		Obs:       cfg.Obs,
 	}
-	if fleet != nil || vfleet != nil {
+	if fleet != nil {
 		// The serving layer is fed by the initial values and the run's
 		// observable events — crashes and rejoins included, when the
 		// resilience layer is attached. It registers once, here: the
@@ -248,13 +224,8 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 				initial[tr.Item] = tr.Ticks[0].Value
 			}
 		}
-		if fleet != nil {
-			fleet.Seed(initial)
-			pushCfg.Observer = fleet
-		} else {
-			vfleet.Seed(initial)
-			pushCfg.Observer = vfleet
-		}
+		fleet.Seed(initial)
+		pushCfg.Observer = fleet
 	}
 	var res *dissemination.Result
 	var resStats *resilience.Stats
@@ -317,14 +288,13 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		if cfg.ClientsEnabled() {
 			out.Clients = &st
 		}
+		if cfg.VirtualEnabled() {
+			out.VServe = &st
+		}
 		if cfg.QueriesEnabled() {
 			qst := fleet.FinalizeQueries(res.Horizon)
 			out.Queries = &qst
 		}
-	}
-	if vfleet != nil {
-		st := vfleet.Finalize(res.Horizon)
-		out.VServe = &st
 	}
 	if cfg.Obs != nil {
 		s := cfg.Obs.Snapshot(int64(res.Horizon))

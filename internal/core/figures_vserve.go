@@ -7,9 +7,9 @@ import (
 	"d3t/internal/obs"
 )
 
-// This file holds the virtual-fleet evaluation: the serving layer pushed
-// to populations the concrete per-object fleet cannot hold. Sessions are
-// compact per-shard array state (internal/vserve), placement goes through
+// This file holds the serving layer's scale evaluation: synthetic
+// populations up to a million sessions in one process. Sessions are
+// compact per-shard array state (internal/serve), placement goes through
 // the shared nearest-k index with consistent-hash overflow, and the
 // figures report what an operator would watch — client-observed fidelity,
 // p99 redirect latency from the obs histograms, and resident bytes per

@@ -37,10 +37,9 @@ type Scale struct {
 	// Queries applies a derived-data query catalogue to every sweep point
 	// (see Config.Queries); the query figures override it per point.
 	Queries []string
-	// VirtualSessions and Scenario apply a virtual session fleet to every
-	// sweep point (see Config.VirtualSessions; mutually exclusive with
-	// Clients and Queries); the client, query and vserve figures override
-	// the population per point.
+	// VirtualSessions and Scenario apply a synthetic session population
+	// to every sweep point (see Config.VirtualSessions); the client,
+	// query and vserve figures override the population per point.
 	VirtualSessions int
 	Scenario        string
 	// Shards and BatchTicks apply the ingest pipeline's sharding and

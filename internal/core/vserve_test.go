@@ -79,6 +79,39 @@ func TestRunExperimentVirtualRegional(t *testing.T) {
 	}
 }
 
+// TestRunExperimentVirtualWithQueries: the one session store serves a
+// synthetic population and derived-data queries side by side, under
+// repository churn — a combination Validate used to forbid.
+func TestRunExperimentVirtualWithQueries(t *testing.T) {
+	cfg := tinyScale().base()
+	cfg.VirtualSessions = 20000
+	cfg.Queries = []string{"avg(w=5;ITEM000,ITEM001,ITEM002)@0.05", "diff(ITEM003,ITEM004)@0.1"}
+	cfg.Faults = "churn:2:60"
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Clients != nil {
+		t.Error("run without Clients produced Clients stats")
+	}
+	v, q := out.VServe, out.Queries
+	if v == nil || q == nil {
+		t.Fatalf("VServe = %v, Queries = %v; want both filled", v, q)
+	}
+	if v.Sessions != 20000 || v.Delivered == 0 {
+		t.Errorf("fleet served %d sessions with %d deliveries, want 20000 and some", v.Sessions, v.Delivered)
+	}
+	if q.Queries != 2 || q.Evals == 0 || q.Recomputes == 0 {
+		t.Errorf("query layer: %d queries, %d evals, %d recomputes", q.Queries, q.Evals, q.Recomputes)
+	}
+	if out.Resilience == nil || out.Resilience.Crashes == 0 {
+		t.Error("churn plan crashed no repository")
+	}
+}
+
 func TestConfigVirtualValidation(t *testing.T) {
 	base := tinyScale().base()
 	for _, tc := range []struct {
@@ -87,8 +120,6 @@ func TestConfigVirtualValidation(t *testing.T) {
 		want   string
 	}{
 		{"negative", func(c *Config) { c.VirtualSessions = -1 }, "negative virtual"},
-		{"with-clients", func(c *Config) { c.VirtualSessions = 10; c.Clients = 10 }, "mutually exclusive"},
-		{"with-queries", func(c *Config) { c.VirtualSessions = 10; c.Queries = []string{"avg(w=5;ITEM000)@0.05"} }, "mutually exclusive"},
 		{"scenario-alone", func(c *Config) { c.Scenario = "flash" }, "needs VirtualSessions"},
 		{"bad-scenario", func(c *Config) { c.VirtualSessions = 10; c.Scenario = "storm" }, "scenario"},
 	} {

@@ -97,9 +97,8 @@ type Options struct {
 	// unlimited); Admit answers an over-cap subscribe with a rejection.
 	SessionCap int
 	// ServeOnly disables the dependent pipeline: Apply records the value
-	// and fans out to sessions only. The serving layer's fleet uses it
-	// for repositories whose overlay dissemination is simulated
-	// elsewhere.
+	// and fans out to sessions only. A sharded live node uses it for the
+	// one session core beside its per-shard dissemination cores.
 	ServeOnly bool
 }
 
@@ -119,7 +118,6 @@ type Core struct {
 	retired map[string]Decisions
 
 	sessions map[string]*Session
-	admitSeq uint64
 	// watchers holds, per item, the admitted sessions watching it with
 	// tolerances resolved at admission — the client half of the
 	// precomputed fan-out. Sorted by session name for a deterministic

@@ -27,7 +27,6 @@ type Session struct {
 	last map[string]*itemState
 
 	lastServed sim.Time
-	seq        uint64 // admission sequence on the current core
 	delivered  uint64
 	filtered   uint64
 	resyncs    uint64
@@ -86,13 +85,6 @@ func (s *Session) Value(item string) (float64, bool) {
 	return st.v, true
 }
 
-// SeedValue records the session's copy of item without a delivery, as
-// when the whole system starts synchronized.
-func (s *Session) SeedValue(item string, v float64) {
-	st := s.state(item)
-	st.v, st.seeded = v, true
-}
-
 // Delivered, Filtered and Resyncs report the session's decision
 // counters: live updates delivered, live updates suppressed by the
 // client's tolerance, and catch-up values pushed on admission/migration.
@@ -103,12 +95,6 @@ func (s *Session) Resyncs() uint64   { return s.resyncs }
 // LastServed returns the transport time of the last push to the session
 // (delivery or resync).
 func (s *Session) LastServed() sim.Time { return s.lastServed }
-
-// AttachSeq orders the sessions of one core by admission time (each
-// admission, initial or by migration, advances it). Transports sweeping
-// a node's sessions — a crash migrating them away — use it to process
-// them in the order they arrived.
-func (s *Session) AttachSeq() uint64 { return s.seq }
 
 // RejectReason says why Admit turned a session away.
 type RejectReason int
@@ -218,8 +204,6 @@ func (c *Core) ForceAdmit(s *Session, t Transport) {
 	if c.sessions[s.name] != nil {
 		panic(fmt.Sprintf("node: %v: duplicate session %q", c.self.ID, s.name))
 	}
-	s.seq = c.admitSeq
-	c.admitSeq++
 	c.sessions[s.name] = s
 	items := make([]string, 0, len(s.wants))
 	for x, tol := range s.wants {
@@ -283,16 +267,6 @@ func (c *Core) DropSession(name string) *Session {
 // Session returns the admitted session with the given name, or nil.
 func (c *Core) Session(name string) *Session { return c.sessions[name] }
 
-// SessionNames returns the admitted session names in sorted order.
-func (c *Core) SessionNames() []string {
-	names := make([]string, 0, len(c.sessions))
-	for name := range c.sessions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // StaleSessions returns the admitted sessions whose last push is at
 // least window old at now, sorted by name — the candidates a transport's
 // watchdog migrates off a silent node. Transports that also carry
@@ -300,12 +274,12 @@ func (c *Core) SessionNames() []string {
 // quiet-but-alive nodes leak their clients.
 func (c *Core) StaleSessions(now sim.Time, window sim.Time) []*Session {
 	var out []*Session
-	for _, name := range c.SessionNames() {
-		s := c.sessions[name]
+	for _, s := range c.sessions {
 		if now-s.lastServed >= window {
 			out = append(out, s)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

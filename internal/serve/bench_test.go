@@ -35,9 +35,7 @@ func BenchmarkFanOut(b *testing.B) {
 					Name: fmt.Sprintf("c%05d", i), Repo: 1,
 					Wants: map[string]coherency.Requirement{"X": tol},
 				}
-				if _, err := f.Attach(c); err != nil {
-					b.Fatal(err)
-				}
+				attach(b, f, c)
 			}
 			f.Seed(map[string]float64{"X": 100})
 			b.ReportAllocs()

@@ -1,13 +1,16 @@
-package vserve
+package serve
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"d3t/internal/coherency"
 	"d3t/internal/netsim"
+	"d3t/internal/query"
 	"d3t/internal/repository"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 )
@@ -55,70 +58,88 @@ func drive(f runObserver, repos int) {
 	}
 }
 
-// TestVirtualParity is the virtual/concrete equivalence gate: the same
-// workload, churn plan and crash schedule through serve.Fleet and the
-// virtual fleet must produce identical delivered/filtered counts,
-// serving-layer stats, and bit-identical per-session fidelity.
-func TestVirtualParity(t *testing.T) {
-	const nRepos, nClients = 4, 60
+// TestQueriesIndependentOfPopulation: query input sessions live in their
+// own shard, so the same delivery schedule — churn-free, with a crash
+// and a rejoin — yields the same per-query outcome whether the queries
+// are alone in the store or share it with 10 000 synthetic sessions.
+func TestQueriesIndependentOfPopulation(t *testing.T) {
 	items := []string{"X", "Y", "Z"}
-	gen := func() []*repository.Client {
-		clients, err := repository.GenerateClients(repository.ClientWorkload{
-			Clients: nClients, Repos: []repository.ID{1, 2, 3, 4}, Items: items,
-			ItemsPerClient: 2, StringentFrac: 0.5, Seed: 11,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return clients
-	}
-	plan, err := serve.ParseSessionPlan("churn:25:10", nClients, 100, sim.Second, 9)
+	queries, err := query.ParseList([]string{"avg(w=3;X,Y,Z)@0.3", "diff(X,Y)>0@0.2!client", "max(Y,Z)@0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := map[string]float64{"X": 100, "Y": 50, "Z": 10}
-
-	// Concrete fleet.
-	cf, err := serve.NewFleet(netsim.Uniform(nRepos, sim.Millisecond), population(nRepos, items, 0.05), serve.Options{Cap: 12, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.AttachAll(gen()); err != nil {
-		t.Fatal(err)
-	}
-	cf.Seed(initial)
-	drive(cf, nRepos)
-	cst := cf.Finalize(100 * sim.Second)
-
-	// Virtual fleet, several shard counts and worker modes.
-	for _, cfg := range []Options{
-		{Cap: 12, Plan: plan, Shards: 1},
-		{Cap: 12, Plan: plan, Shards: 8},
-		{Cap: 12, Plan: plan, Shards: 8, Workers: 3},
-	} {
-		vf, err := NewFleet(netsim.Uniform(nRepos, sim.Millisecond), population(nRepos, items, 0.05), cfg)
+	run := func(sessions int) QueryStats {
+		f, err := NewFleet(netsim.Uniform(4, sim.Millisecond), population(4, items, 0.05), Options{Queries: queries, Interval: sim.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vf.AttachAll(gen()); err != nil {
-			t.Fatal(err)
-		}
-		vf.Seed(initial)
-		drive(vf, nRepos)
-		vst := vf.Finalize(100 * sim.Second)
-
-		if vst.Stats != cst {
-			t.Errorf("shards=%d workers=%d: stats diverged\nconcrete: %+v\nvirtual:  %+v", cfg.Shards, cfg.Workers, cst, vst.Stats)
-		}
-		vfid := vf.PerSessionFidelity(100 * sim.Second)
-		for i, s := range cf.Sessions() {
-			if got := vfid[i]; got != s.Fidelity(100*sim.Second) {
-				t.Fatalf("shards=%d: session %d (%s) fidelity %v, concrete %v", cfg.Shards, i, s.Name, got, s.Fidelity(100*sim.Second))
+		if sessions > 0 {
+			if err := f.Populate(Synthetic{Sessions: sessions, Items: items, ItemsPerClient: 2, StringentFrac: 0.5, Seed: 8}); err != nil {
+				t.Fatal(err)
 			}
 		}
+		if err := f.AttachQueries(); err != nil {
+			t.Fatal(err)
+		}
+		f.Seed(map[string]float64{"X": 100, "Y": 50, "Z": 10})
+		drive(f, 4)
+		if st := f.Finalize(100 * sim.Second); st.Sessions != sessions {
+			t.Fatalf("population %d, want %d (query sessions are not clients)", st.Sessions, sessions)
+		}
+		return f.FinalizeQueries(100 * sim.Second)
 	}
-	if cst.Delivered == 0 || cst.Filtered == 0 || cst.Migrations == 0 || cst.Departures == 0 {
-		t.Fatalf("parity run exercised too little: %+v", cst)
+	alone, shared := run(0), run(10000)
+	if !reflect.DeepEqual(alone, shared) {
+		t.Errorf("query outcomes depend on the co-resident population:\nalone:  %+v\nshared: %+v", alone, shared)
+	}
+	if alone.Evals == 0 || alone.Recomputes == 0 || alone.ResultPushes == 0 || alone.Resyncs == 0 {
+		t.Fatalf("query run exercised too little: %+v", alone)
+	}
+}
+
+// TestAdmissionRejects is the admission error table. A watch list longer
+// than the 16-bit extent must be refused before anything is appended:
+// the session admitted after it still gets its own watches.
+func TestAdmissionRejects(t *testing.T) {
+	catalogue := make([]string, maxWatch+1)
+	wide := make(map[string]coherency.Requirement, len(catalogue))
+	for i := range catalogue {
+		catalogue[i] = fmt.Sprintf("I%05d", i)
+		wide[catalogue[i]] = 0.5
+	}
+	one := func(c *repository.Client) func(*Fleet) error {
+		return func(f *Fleet) error { return f.AttachAll([]*repository.Client{c}) }
+	}
+	x := map[string]coherency.Requirement{"X": 0.5}
+	for _, tc := range []struct {
+		name  string
+		admit func(*Fleet) error
+		want  string
+	}{
+		{"unknown-home", one(client("a", 9, x)), "unknown repository"},
+		{"duplicate", one(client("first", 1, x)), "duplicate session"},
+		{"no-wants", one(client("a", 1, nil)), "wants nothing"},
+		{"wide-client", one(client("a", 1, wide)), "more than the 65535"},
+		{"wide-synthetic", func(f *Fleet) error {
+			return f.Populate(Synthetic{Sessions: 1, Items: catalogue, ItemsPerClient: maxWatch})
+		}, "more than the 65535"},
+	} {
+		f, err := NewFleet(netsim.Uniform(2, sim.Millisecond), population(2, []string{"X"}, 0.1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attach(t, f, client("first", 1, x))
+		if err := tc.admit(f); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		next := attach(t, f, client("next", 1, map[string]coherency.Requirement{"X": 0.5}))
+		f.Seed(map[string]float64{"X": 7})
+		if v, ok := next.Value("X"); !ok || v != 7 {
+			t.Errorf("%s: session admitted after the rejection holds X = %v (watched %v), want 7", tc.name, v, ok)
+		}
+		if st := f.Finalize(0); st.Sessions != 2 {
+			t.Errorf("%s: %d sessions in the store, want 2", tc.name, st.Sessions)
+		}
 	}
 }
 
@@ -246,7 +267,7 @@ func TestVirtualFlashScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vf.Populate(Synthetic{Sessions: sessions, Items: items, ItemsPerClient: 2, StringentFrac: 0.5, Seed: 6, HotItem: "hot"}); err != nil {
+	if err := vf.Populate(Synthetic{Sessions: sessions, Items: items, ItemsPerClient: 2, StringentFrac: 0.5, Seed: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if got := vf.Attached(); got != sessions/2 {
@@ -281,7 +302,7 @@ func TestVirtualFlashScenario(t *testing.T) {
 func TestVirtualDeterminism(t *testing.T) {
 	items := []string{"X", "Y", "Z"}
 	run := func() Stats {
-		plan, err := serve.ParseSessionPlan("churn:20:10", 80, 100, sim.Second, 9)
+		plan, err := ParseSessionPlan("churn:20:10", 80, 100, sim.Second, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // in.
 func TestFleetObs(t *testing.T) {
 	net := netsim.Uniform(3, sim.Millisecond)
-	repos := population(3, 0.5)
+	repos := population(3, []string{"X"}, 0.5)
 	tree := obs.NewTree()
 	f, err := NewFleet(net, repos, Options{Cap: 1, Obs: tree})
 	if err != nil {
@@ -25,15 +25,10 @@ func TestFleetObs(t *testing.T) {
 	wants := func() map[string]coherency.Requirement {
 		return map[string]coherency.Requirement{"X": 0.5}
 	}
-	if _, err := f.Attach(client("a", 1, wants())); err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.Attach(client("b", 1, wants()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Repo != 2 || !b.Redirected() {
-		t.Fatalf("overflow client placed at %d (redirected=%v), want redirect to 2", b.Repo, b.Redirected())
+	attach(t, f, client("a", 1, wants()))
+	b := attach(t, f, client("b", 1, wants()))
+	if b.Repo() != 2 || !b.Redirected() {
+		t.Fatalf("overflow client placed at %d (redirected=%v), want redirect to 2", b.Repo(), b.Redirected())
 	}
 	f.Seed(map[string]float64{"X": 10})
 
@@ -52,8 +47,8 @@ func TestFleetObs(t *testing.T) {
 	f.ObserveSource(sim.Second, "X", 20)
 	f.ObserveDeliver(sim.Second, 2, "X", 20)
 	f.ObserveCrash(2*sim.Second, 2)
-	if b.Repo != 3 {
-		t.Fatalf("session migrated to %d, want 3", b.Repo)
+	if b.Repo() != 3 {
+		t.Fatalf("session migrated to %d, want 3", b.Repo())
 	}
 	n3 := tree.Node(3).Snapshot(0)
 	if n3.Counters.Migrations != 1 {

@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"d3t/internal/coherency"
+	"d3t/internal/place"
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
 )
 
 // QuerySession is one continuous derived-data query served by the fleet:
-// an ordinary input session (the query's items at the allocated per-input
-// tolerance, placed/filtered/migrated exactly like a client) plus two
-// incremental evaluators and a result fidelity meter.
+// an ordinary input session in the store's query shard (the query's items
+// at the allocated per-input tolerance, placed/filtered/migrated exactly
+// like a client) plus two incremental evaluators and a result fidelity
+// meter.
 //
 // The *view* evaluator is fed by the deliveries the serving repository's
 // per-client filter lets through — it is the result the client actually
@@ -25,10 +27,14 @@ type QuerySession struct {
 	// Query is the query being served.
 	Query query.Query
 
-	s     *Session
+	f     *Fleet
+	i     uint32 // the input session's index in the query shard
 	truth *query.Eval
 	view  *query.Eval
-	rm    meter // result meter, c = cQ
+	// rm is the result meter (c = cQ): src the truth result, have the
+	// client's copy — the last *published* view result (publication is
+	// gated by the predicate on the view result).
+	rm meter
 
 	// attached mirrors the input session; predOpen tracks the filter
 	// predicate against the truth result. The result meter observes only
@@ -37,18 +43,16 @@ type QuerySession struct {
 	attached bool
 	predOpen bool
 
-	// have is the client's copy of the result: the last *published* view
-	// result (publication is gated by the predicate on the view result).
-	have   float64
-	hasPub bool
-
 	inputPushes  uint64 // input deliveries (client-side placement cost)
 	resyncPushes uint64 // catch-up input deliveries
 	resultPushes uint64 // published result changes (repo-side placement cost)
 }
 
-// Session returns the query's underlying input session.
-func (qs *QuerySession) Session() *Session { return qs.s }
+// Repo returns the repository currently serving the query's input
+// session, or repository.NoID while detached.
+func (qs *QuerySession) Repo() repository.ID {
+	return repository.ID(qs.f.shards[qs.f.qsh()].repo[qs.i])
+}
 
 // Evals and Recomputes report the view evaluator's counters: input
 // deliveries evaluated, and result recomputations (one per delivery once
@@ -57,10 +61,6 @@ func (qs *QuerySession) Session() *Session { return qs.s }
 // counts.
 func (qs *QuerySession) Evals() uint64      { return qs.view.Evals() }
 func (qs *QuerySession) Recomputes() uint64 { return qs.view.Recomputes() }
-
-// Result returns the client's current copy of the result (the last
-// published view result).
-func (qs *QuerySession) Result() (float64, bool) { return qs.have, qs.hasPub }
 
 // Fidelity returns the result-level fidelity up to now: the fraction of
 // observed time the published result was within cQ of the truth result.
@@ -76,12 +76,11 @@ func (qs *QuerySession) Fidelity(now sim.Time) float64 {
 // measured: the query-fidelity figure checks the result stays above it.
 func (qs *QuerySession) InputFloor(now sim.Time) float64 {
 	floor := 1.0
-	for i := range qs.s.meters {
-		f, ok := qs.s.meters[i].fidelity(now)
-		if !ok {
-			continue
+	sh := &qs.f.shards[qs.f.qsh()]
+	for wi, end := sh.watches(qs.i); wi < end; wi++ {
+		if f, ok := sh.fidelity(wi, now); ok {
+			floor -= 1 - f
 		}
-		floor -= 1 - f
 	}
 	if floor < 0 {
 		return 0
@@ -91,11 +90,9 @@ func (qs *QuerySession) InputFloor(now sim.Time) float64 {
 
 // gate reconciles the result meter with the session/predicate state.
 func (qs *QuerySession) gate(now sim.Time) {
-	want := qs.attached && qs.predOpen
-	if want && !qs.rm.attached {
-		qs.rm.attach(now)
-	} else if !want && qs.rm.attached {
-		qs.rm.detach(now)
+	if want := qs.attached && qs.predOpen; want != qs.rm.attached {
+		qs.rm.advance(now)
+		qs.rm.attached = want
 	}
 }
 
@@ -149,62 +146,53 @@ func (s QueryStats) String() string {
 }
 
 // qTick maps simulation time onto the query clock.
-func (f *Fleet) qTick(now sim.Time) int64 { return int64(now / f.qInterval) }
+func (f *Fleet) qTick(now sim.Time) int64 { return int64(now / f.opts.Interval) }
 
 // AttachQueries admits the fleet's query catalogue (Options.Queries):
 // each query becomes an input session subscribed to its items at the
 // allocated per-input tolerance, placed like a client homed at a
-// repository chosen round-robin. It returns one synthetic client per
-// query — already homed at its placement — for the caller to fold into
-// DeriveNeeds, so the overlay provably serves every input at least as
-// stringently as the allocation demands.
-func (f *Fleet) AttachQueries() ([]*repository.Client, error) {
-	out := make([]*repository.Client, 0, len(f.opts.Queries))
+// repository chosen round-robin. DeriveNeeds folds the input sessions in,
+// so the overlay provably serves every input at least as stringently as
+// the allocation demands.
+func (f *Fleet) AttachQueries() error {
+	sh := &f.shards[f.qsh()]
 	for i, q := range f.opts.Queries {
 		if err := q.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		if q.Name == "" {
-			return nil, fmt.Errorf("serve: query %d has no name", i)
+			return fmt.Errorf("serve: query %d has no name", i)
 		}
-		if f.byName[q.Name] != nil {
-			return nil, fmt.Errorf("serve: duplicate session %q", q.Name)
+		if _, dup := f.byName[q.Name]; dup {
+			return fmt.Errorf("serve: duplicate session %q", q.Name)
 		}
-		home := repository.ID(1 + i%len(f.repos))
 		wants := q.Wants()
-		s := newSession(q.Name, home, wants)
+		if err := checkWatch(q.Name, len(wants)); err != nil {
+			return err
+		}
+		items, tols := f.sortedWants(wants)
 		qs := &QuerySession{
 			Query:    q,
-			s:        s,
+			f:        f,
+			i:        uint32(len(f.queries)),
 			truth:    query.NewEval(q),
 			view:     query.NewEval(q),
 			rm:       meter{c: coherency.Requirement(q.Tolerance)},
 			predOpen: q.Pred == nil,
 		}
-		s.ns.SetTag(qs)
-		f.byName[q.Name] = s
-		f.qByName[q.Name] = qs
-		f.qOf[s] = qs
-		target := f.place(s, true)
-		if target == repository.NoID {
-			delete(f.byName, q.Name)
-			delete(f.qByName, q.Name)
-			delete(f.qOf, s)
-			return nil, fmt.Errorf("serve: no repository to place query %q on", q.Name)
-		}
-		f.attach(s, target, 0)
-		for _, x := range s.items {
-			f.byItem[x] = append(f.byItem[x], s)
-			f.qByItem[x] = append(f.qByItem[x], qs)
-		}
 		f.queries = append(f.queries, qs)
-		out = append(out, &repository.Client{Name: q.Name, Repo: target, Wants: wants})
+		h := f.create(f.qsh(), place.Key(q.Name), repository.ID(1+i%len(f.repos)), items, tols)
+		for wi, end := sh.watches(qs.i); wi < end; wi++ {
+			sh.wOwner = append(sh.wOwner, qs.i)
+			f.qByItem[sh.wItem[wi]] = append(f.qByItem[sh.wItem[wi]], wi)
+		}
+		f.byName[q.Name] = named{h: h}
+		if f.admitPlace(h) == repository.NoID {
+			return fmt.Errorf("serve: no repository to place query %q on", q.Name)
+		}
 	}
-	return out, nil
+	return nil
 }
-
-// QuerySession returns a query session by query name.
-func (f *Fleet) QuerySession(name string) *QuerySession { return f.qByName[name] }
 
 // QuerySessions returns the query catalogue in attachment order.
 func (f *Fleet) QuerySessions() []*QuerySession { return f.queries }
@@ -229,7 +217,6 @@ func (f *Fleet) seedQueries(initial map[string]float64) {
 		}
 		if rv, ok := qs.view.Result(); ok {
 			if qs.Query.Pred == nil || qs.Query.Pred.Holds(rv) {
-				qs.have, qs.hasPub = rv, true
 				qs.rm.have = rv
 			}
 		}
@@ -240,9 +227,11 @@ func (f *Fleet) seedQueries(initial map[string]float64) {
 // observeQuerySource feeds one source-signal change into every query
 // watching the item: the truth evaluator recomputes, the result meter's
 // reference moves, and the predicate gate follows the truth result.
-func (f *Fleet) observeQuerySource(now sim.Time, item string, v float64) {
-	for _, qs := range f.qByItem[item] {
-		rt, ok, _ := qs.truth.Observe(item, v, f.qTick(now))
+func (f *Fleet) observeQuerySource(now sim.Time, id uint32, v float64) {
+	sh := &f.shards[f.qsh()]
+	for _, wi := range f.qByItem[id] {
+		qs := f.queries[sh.wOwner[wi]]
+		rt, ok, _ := qs.truth.Observe(f.itemName[id], v, f.qTick(now))
 		if !ok {
 			continue
 		}
@@ -254,23 +243,40 @@ func (f *Fleet) observeQuerySource(now sim.Time, item string, v float64) {
 	}
 }
 
-// queryDeliver runs one filtered input delivery through a query session:
-// the input meter and push tallies move, the view evaluator recomputes,
-// and a changed result that passes the predicate is published to the
-// client's copy.
-func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, item string, v float64, resync bool) {
-	qs.s.meterFor(item).deliver(now, v)
+// deliverQueries is deliverShard over the query shard: the same filter,
+// and every input delivery it lets through also feeds the owning query's
+// view evaluator.
+func (f *Fleet) deliverQueries(repo repository.ID, id uint32, now sim.Time, v float64, cSelf coherency.Requirement) (delivered, filtered int) {
+	sh := &f.shards[f.qsh()]
+	for _, ref := range f.post[f.qsh()][repo-1][id] {
+		wi := ref.wi
+		if sh.wSeeded[wi] && !coherency.ShouldForward(v, sh.wHave[wi], sh.wTol[wi], cSelf) {
+			filtered++
+			continue
+		}
+		f.deliverWatch(sh, wi, now, v)
+		f.queryDeliver(f.queries[sh.wOwner[wi]], now, id, v, false)
+		delivered++
+	}
+	return delivered, filtered
+}
+
+// queryDeliver runs one filtered input delivery (its input meter already
+// moved) through a query session: the push tallies move, the view
+// evaluator recomputes, and a changed result that passes the predicate
+// is published to the client's copy.
+func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, id uint32, v float64, resync bool) {
 	if resync {
 		qs.resyncPushes++
 	} else {
 		qs.inputPushes++
 	}
-	res, ok, changed := qs.view.Observe(item, v, f.qTick(now))
+	res, ok, changed := qs.view.Observe(f.itemName[id], v, f.qTick(now))
 	recomputed := 0
 	if ok {
 		recomputed = 1
 	}
-	f.opts.Obs.Node(qs.s.Repo).QueryPass(1, recomputed)
+	f.opts.Obs.Node(qs.Repo()).QueryPass(1, recomputed)
 	if !ok || !changed {
 		return
 	}
@@ -278,7 +284,6 @@ func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, item string, v floa
 		return
 	}
 	qs.resultPushes++
-	qs.have, qs.hasPub = res, true
 	qs.rm.deliver(now, res)
 }
 
@@ -313,7 +318,7 @@ func (f *Fleet) FinalizeQueries(horizon sim.Time) QueryStats {
 		st.PerQuery = append(st.PerQuery, QueryOutcome{
 			Name:         qs.Query.Name,
 			Spec:         qs.Query.String(),
-			Repo:         qs.s.Repo,
+			Repo:         qs.Repo(),
 			Fidelity:     fid,
 			InputFloor:   floor,
 			Evals:        qs.view.Evals(),
@@ -328,4 +333,58 @@ func (f *Fleet) FinalizeQueries(horizon sim.Time) QueryStats {
 	st.LossPercent = 100 * (1 - st.MeanFidelity)
 	st.MeanInputFloor = floorSum / float64(len(f.queries))
 	return st
+}
+
+// meter integrates a query result's coherency over its session's
+// attached lifetime — the object form of the store's flat per-watch
+// meters, with its own source copy (the truth result). Like
+// coherency.Tracker it exploits that both signals are piecewise
+// constant, but it additionally supports detach/attach so fidelity is
+// measured only while the client is served — a departed client observes
+// nothing.
+type meter struct {
+	c coherency.Requirement
+
+	src, have float64
+	attached  bool
+	inViol    bool
+	last      sim.Time // time of the most recent state change
+	span      sim.Time // total attached observation time
+	viol      sim.Time // attached time spent out of tolerance
+}
+
+// advance accounts [m.last, now) against the current state.
+func (m *meter) advance(now sim.Time) {
+	if now < m.last {
+		panic(fmt.Sprintf("serve: meter moved backwards from %v to %v", m.last, now))
+	}
+	if m.attached {
+		m.span += now - m.last
+		if m.inViol {
+			m.viol += now - m.last
+		}
+	}
+	m.last = now
+}
+
+func (m *meter) refresh() { m.inViol = m.c.Violated(m.src, m.have) }
+
+// srcUpdate records a source value change.
+func (m *meter) srcUpdate(now sim.Time, v float64) {
+	m.advance(now)
+	m.src = v
+	m.refresh()
+}
+
+// deliver records a value delivered to the client.
+func (m *meter) deliver(now sim.Time, v float64) {
+	m.advance(now)
+	m.have = v
+	m.refresh()
+}
+
+// fidelity returns the attached-time fidelity up to now, and false when
+// the meter never observed any attached time.
+func (m *meter) fidelity(now sim.Time) (float64, bool) {
+	return observed(m.span, m.viol, m.last, m.attached, m.inViol, now)
 }

@@ -10,67 +10,106 @@
 //
 // The package supplies four pieces, wired through every layer:
 //
-//   - Sessions: per-client state (watch list, last-delivered values,
-//     fidelity meters that integrate |source − client copy| ≤ c over the
-//     session's attached lifetime) plus delivery/filter counters.
-//   - Load-aware placement: each client attaches to the nearest
+//   - Load-aware placement: each session attaches to the nearest
 //     repository (by physical-network delay from its home point) that is
 //     under the configurable session cap; overflow redirects to the next
-//     candidate, and redirects are counted as a first-class outcome.
+//     candidate (or, with Options.RingSlots, hashes onto a consistent
+//     ring), and redirects are counted as a first-class outcome.
 //   - Churn and migration: sessions arrive and depart under a seeded
-//     plan (the resilience package's fault-plan machinery, reused with
-//     sessions as the population), and migrate — with a resync to the
-//     new repository's current copy — when their repository crashes.
+//     plan or a scenario (flash crowds, diurnal waves), and migrate —
+//     with a resync to the new repository's current copy — when their
+//     repository crashes.
 //   - Client-observed fidelity: the paper's metric, measured at the true
-//     consumer rather than the repository, reported per client and as a
-//     population mean.
+//     consumer rather than the repository, integrated over each
+//     session's attached lifetime.
+//   - Derived-data queries (queries.go): a query is an input session
+//     plus two incremental evaluators and a result meter.
 //
-// The simulation entry point is Fleet, which implements the run
-// observers of the dissemination and resilience runners; the live and
-// netio runtimes serve sessions over channels and TCP respectively with
-// the same admission/filter/migration policy.
+// There is one session store, Fleet, and it materializes no object per
+// session: a session is a handle — an index into per-shard
+// struct-of-arrays state — whether it entered as a named client
+// (AttachAll), as one of a million synthetic sessions (Populate) or as a
+// query's input session (AttachQueries):
+//
+//	shard s (FNV-1a(name) % Options.Shards; queries in one extra shard)
+//	├── home[i], repo[i], seq[i], orphan flags    per-session scalars
+//	├── wOff[i], wLen[i]                          watch-list extent
+//	└── watch entries (flat, item-sorted per session)
+//	    ├── wItem, wTol                           subscription
+//	    ├── wHave, wSeeded                        session-edge filter state
+//	    ├── wInViol, wAttached, wLast, wSpan, wViol   fidelity meter
+//	    └── wOwner (query shard only)             the query fed by the watch
+//
+// The meter is a piecewise-constant integrator; the source value of an
+// item is global, so it lives once in src[item] instead of once per
+// (session, item).
+//
+// Fan-out is driven by postings lists: byItem[item] lists every watch
+// entry (source metering), and post[shard][repo][item] lists the watch
+// entries of sessions currently attached to the repository (delivery).
+// Attach/detach maintain the postings with swap-deletes through a
+// per-watch position; the delivery hot path walks a slice, touches flat
+// arrays, and allocates nothing (TestVirtualDeliverAllocFree).
+//
+// Placement rides the shared internal/place index: per-home candidate
+// orders are computed once per home endpoint, not per session.
+// Correlated regional failures arrive through the resilience layer's
+// crash/rejoin observers exactly as single faults do. The live and netio
+// runtimes serve sessions over channels and TCP with the same
+// admission/filter/migration policy through node.Core.
 package serve
 
 import (
 	"fmt"
-	"sort"
 
-	"d3t/internal/coherency"
-	"d3t/internal/netsim"
 	"d3t/internal/obs"
 	"d3t/internal/query"
-	"d3t/internal/repository"
 	"d3t/internal/resilience"
 	"d3t/internal/sim"
+	"d3t/internal/trace"
 )
 
-// Options parameterizes a client fleet.
+// Options parameterizes a fleet.
 type Options struct {
-	// Cap is the per-repository session cap (0 = unlimited). A client
+	// Cap is the per-repository session cap (0 = unlimited). A session
 	// whose nearest repository is full redirects to the next candidate.
 	Cap int
 	// Plan schedules session churn: a fault plan over the *session*
-	// population (Fault.Node is a 1-based session index) where At is the
-	// session's departure and RejoinAt its re-arrival. Nil means every
-	// session stays for the whole run. See ParseSessionPlan.
+	// population (Fault.Node is a 1-based index into the clients and
+	// synthetic sessions, in admission order) where At is the session's
+	// departure and RejoinAt its re-arrival. Nil means every session
+	// stays for the whole run. See ParseSessionPlan.
 	Plan *resilience.Plan
-
+	// Scenario schedules scenario-driven churn over the synthetic
+	// population (tick-indexed; converted through Interval). Flash-crowd
+	// members are created detached and watch the hot item; see Synthetic.
+	Scenario *trace.ScenarioPlan
+	// Interval is the tick length in sim time: it converts scenario
+	// ticks (At = tick * interval, resilience.ParsePlan's convention) and
+	// places windowed query aggregates into their window slots. Defaults
+	// to 1.
+	Interval sim.Time
 	// Obs, when set, collects the serving layer's per-repository
 	// counters (admits, redirects, migrations, resyncs, per-session
-	// deliver/filter decisions) and the redirect-latency histogram.
-	// Observation is passive.
+	// deliver/filter decisions, query passes) and the redirect-latency
+	// histogram. Observation is passive.
 	Obs *obs.Tree
-
+	// Shards is the session-state shard count (default 8). Sessions are
+	// sharded by FNV-1a of their name.
+	Shards int
+	// RingSlots/RingAfter enable the placement index's consistent-hash
+	// overflow ring (see place.Options). Zero keeps strict nearest-first
+	// overflow.
+	RingSlots int
+	RingAfter int
 	// Queries is the continuous derived-data query catalogue; each entry
 	// becomes a query session attached by AttachQueries (see queries.go).
-	// Interval is the query clock's tick length in sim time (the trace
-	// tick interval; defaults to 1 when unset), which places windowed
-	// aggregates into their window slots.
-	Queries  []query.Query
-	Interval sim.Time
+	Queries []query.Query
 }
 
 // Stats counts the serving layer's work and outcomes during one run.
+// Query sessions are accounted in QueryStats, not here, except that
+// their crash migrations and orphanings count like any session's.
 type Stats struct {
 	// Sessions is the session population size.
 	Sessions int
@@ -97,12 +136,16 @@ type Stats struct {
 	MeanFidelity  float64
 	LossPercent   float64
 	WorstFidelity float64
+	// Shards is the shard count; BytesPerSession the measured resident
+	// session-state footprint divided by the population.
+	Shards          int
+	BytesPerSession float64
 }
 
 // String renders the stats as a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("sessions=%d clientLoss=%.2f%% redirects=%d migrations=%d delivered=%d filtered=%d",
-		s.Sessions, s.LossPercent, s.Redirects, s.Migrations, s.Delivered, s.Filtered)
+	return fmt.Sprintf("sessions=%d clientLoss=%.2f%% redirects=%d migrations=%d delivered=%d filtered=%d shards=%d bytes/session=%.0f",
+		s.Sessions, s.LossPercent, s.Redirects, s.Migrations, s.Delivered, s.Filtered, s.Shards, s.BytesPerSession)
 }
 
 // ParseSessionPlan builds a session churn plan from a spec string, sized
@@ -121,33 +164,4 @@ func (s Stats) String() string {
 // The same spec, sizes and seed always yield the same plan.
 func ParseSessionPlan(spec string, sessions, ticks int, interval sim.Time, seed int64) (*resilience.Plan, error) {
 	return resilience.ParsePlan(spec, sessions, ticks, interval, seed)
-}
-
-// Candidates ranks every repository by physical-network delay from the
-// given home endpoint (nearest first, ties by id) — the order placement
-// walks for admission and migration. Home is itself an endpoint id; a
-// client is modeled as co-located with its home repository.
-func Candidates(net *netsim.Network, home repository.ID, repos int) []repository.ID {
-	out := make([]repository.ID, repos)
-	for i := range out {
-		out[i] = repository.ID(i + 1)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		di, dj := net.Delay[home][out[i]], net.Delay[home][out[j]]
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
-// sortedItems returns the watch list's items in deterministic order.
-func sortedItems(wants map[string]coherency.Requirement) []string {
-	items := make([]string, 0, len(wants))
-	for x := range wants {
-		items = append(items, x)
-	}
-	sort.Strings(items)
-	return items
 }

@@ -11,36 +11,26 @@ import (
 	"d3t/internal/sim"
 )
 
-// population builds n repositories with ids 1..n serving item X at the
-// given tolerance.
-func population(n int, tol coherency.Requirement) []*repository.Repository {
-	repos := make([]*repository.Repository, n)
-	for i := range repos {
-		repos[i] = repository.New(repository.ID(i+1), 4)
-		repos[i].Needs["X"] = tol
-		repos[i].Serving["X"] = tol
+// attach admits one client and returns its read-only view.
+func attach(t testing.TB, f *Fleet, c *repository.Client) Session {
+	t.Helper()
+	if err := f.AttachAll([]*repository.Client{c}); err != nil {
+		t.Fatal(err)
 	}
-	return repos
+	s, ok := f.Session(c.Name)
+	if !ok {
+		t.Fatalf("no view for attached client %q", c.Name)
+	}
+	return s
 }
 
 func client(name string, home repository.ID, wants map[string]coherency.Requirement) *repository.Client {
 	return &repository.Client{Name: name, Repo: home, Wants: wants}
 }
 
-func TestCandidatesNearestFirst(t *testing.T) {
-	// Uniform network: every pair equidistant, self-delay zero — the home
-	// repository must rank first, the rest in id order.
-	net := netsim.Uniform(4, sim.Millisecond)
-	got := Candidates(net, 3, 4)
-	want := []repository.ID{3, 1, 2, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("candidates from home 3 = %v, want %v", got, want)
-	}
-}
-
 func TestPlacementCapOverflowRedirects(t *testing.T) {
 	net := netsim.Uniform(3, sim.Millisecond)
-	repos := population(3, 0.5)
+	repos := population(3, []string{"X"}, 0.5)
 	f, err := NewFleet(net, repos, Options{Cap: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -48,19 +38,13 @@ func TestPlacementCapOverflowRedirects(t *testing.T) {
 	wants := map[string]coherency.Requirement{"X": 0.5}
 	// Two clients homed at repository 1: the first takes it, the second
 	// must overflow to the next candidate (id 2) and count a redirect.
-	a, err := f.Attach(client("a", 1, wants))
-	if err != nil {
-		t.Fatal(err)
+	a := attach(t, f, client("a", 1, wants))
+	b := attach(t, f, client("b", 1, map[string]coherency.Requirement{"X": 0.5}))
+	if a.Repo() != 1 || a.Redirected() {
+		t.Errorf("first client placed at %d (redirected=%v), want its home 1", a.Repo(), a.Redirected())
 	}
-	b, err := f.Attach(client("b", 1, map[string]coherency.Requirement{"X": 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Repo != 1 || a.Redirected() {
-		t.Errorf("first client placed at %d (redirected=%v), want its home 1", a.Repo, a.Redirected())
-	}
-	if b.Repo != 2 || !b.Redirected() {
-		t.Errorf("overflow client placed at %d (redirected=%v), want redirect to 2", b.Repo, b.Redirected())
+	if b.Repo() != 2 || !b.Redirected() {
+		t.Errorf("overflow client placed at %d (redirected=%v), want redirect to 2", b.Repo(), b.Redirected())
 	}
 	if st := f.Finalize(0); st.Redirects != 1 {
 		t.Errorf("redirects = %d, want 1", st.Redirects)
@@ -69,7 +53,7 @@ func TestPlacementCapOverflowRedirects(t *testing.T) {
 
 func TestPlacementAllFullFallsBackToLeastLoaded(t *testing.T) {
 	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.5)
+	repos := population(2, []string{"X"}, 0.5)
 	f, err := NewFleet(net, repos, Options{Cap: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -78,16 +62,11 @@ func TestPlacementAllFullFallsBackToLeastLoaded(t *testing.T) {
 		return map[string]coherency.Requirement{"X": 0.5}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := f.Attach(client(fmt.Sprintf("c%d", i), 1, wants())); err != nil {
-			t.Fatal(err)
-		}
+		attach(t, f, client(fmt.Sprintf("c%d", i), 1, wants()))
 	}
 	// Both repositories at cap: the third client must still be placed.
-	s, err := f.Attach(client("c2", 1, wants()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Attached() {
+	s := attach(t, f, client("c2", 1, wants()))
+	if s.Repo() == repository.NoID {
 		t.Fatal("overflow client left unplaced")
 	}
 }
@@ -97,15 +76,12 @@ func TestPlacementAllFullFallsBackToLeastLoaded(t *testing.T) {
 // the session, while the meter integrates the observed coherency.
 func TestFilteredFanOut(t *testing.T) {
 	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
+	repos := population(1, []string{"X"}, 0.1)
 	f, err := NewFleet(net, repos, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
 	f.Seed(map[string]float64{"X": 100})
 
 	// The repository (tolerance 0.1) receives every small move; the
@@ -118,8 +94,8 @@ func TestFilteredFanOut(t *testing.T) {
 	if v, _ := s.Value("X"); v != 102 {
 		t.Errorf("session copy %v, want 102 after the violating update", v)
 	}
-	if s.Delivered() != 1 || s.Filtered() != 1 {
-		t.Errorf("delivered/filtered = %d/%d, want 1/1", s.Delivered(), s.Filtered())
+	if st := f.Finalize(2 * sim.Second); st.Delivered != 1 || st.Filtered != 1 {
+		t.Errorf("delivered/filtered = %d/%d, want 1/1", st.Delivered, st.Filtered)
 	}
 	// Coherency timeline at tolerance 1.0: in tolerance on [0,2s) (the
 	// 0.5 move never violates), violated nowhere — the source jump to 102
@@ -134,12 +110,9 @@ func TestFilteredFanOut(t *testing.T) {
 // delivery.
 func TestFidelityIntegratesViolations(t *testing.T) {
 	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
+	repos := population(1, []string{"X"}, 0.1)
 	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Source jumps out of tolerance at 2s; the repair arrives at 6s.
@@ -176,12 +149,9 @@ func TestChurnDepartureStopsObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
+	repos := population(1, []string{"X"}, 0.1)
 	f, _ := NewFleet(net, repos, Options{Plan: plan})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
 	f.Seed(map[string]float64{"X": 100})
 
 	// The source jumps at 1s and the repository relays it immediately
@@ -194,7 +164,7 @@ func TestChurnDepartureStopsObservation(t *testing.T) {
 	if st.Departures != 1 || st.Arrivals != 1 {
 		t.Errorf("departures/arrivals = %d/%d, want 1/1", st.Departures, st.Arrivals)
 	}
-	if !s.Attached() {
+	if s.Repo() == repository.NoID {
 		t.Error("session not re-attached after its churn cycle")
 	}
 	if fid := s.Fidelity(20 * sim.Second); fid != 1 {
@@ -204,12 +174,9 @@ func TestChurnDepartureStopsObservation(t *testing.T) {
 
 func TestCrashMigratesWithResync(t *testing.T) {
 	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.1)
+	repos := population(2, []string{"X"}, 0.1)
 	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Repository 2 converges to 105; repository 1 (the session's) dies
@@ -218,8 +185,8 @@ func TestCrashMigratesWithResync(t *testing.T) {
 	f.ObserveDeliver(sim.Second, 2, "X", 105)
 	f.ObserveCrash(2*sim.Second, 1)
 
-	if s.Repo != 2 {
-		t.Fatalf("session on repository %d after crash, want migration to 2", s.Repo)
+	if s.Repo() != 2 {
+		t.Fatalf("session on repository %d after crash, want migration to 2", s.Repo())
 	}
 	if v, _ := s.Value("X"); v != 105 {
 		t.Errorf("session copy %v after migration resync, want 105", v)
@@ -235,26 +202,21 @@ func TestCrashMigratesWithResync(t *testing.T) {
 
 func TestCrashWithNoRoomOrphansThenRejoinRecovers(t *testing.T) {
 	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.1)
+	repos := population(2, []string{"X"}, 0.1)
 	f, _ := NewFleet(net, repos, Options{Cap: 1})
-	a, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Attach(client("b", 2, map[string]coherency.Requirement{"X": 0.5})); err != nil {
-		t.Fatal(err)
-	}
+	a := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
+	attach(t, f, client("b", 2, map[string]coherency.Requirement{"X": 0.5}))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Repository 1 dies; repository 2 is at cap — session a is orphaned.
 	f.ObserveCrash(sim.Second, 1)
-	if a.Attached() {
+	if a.Repo() != repository.NoID {
 		t.Fatal("session attached despite every live repository being full")
 	}
 	// Repository 1 rejoins; the orphan re-homes onto it.
 	f.ObserveRejoin(3*sim.Second, 1)
-	if a.Repo != 1 {
-		t.Fatalf("orphan on repository %d after rejoin, want 1", a.Repo)
+	if a.Repo() != 1 {
+		t.Fatalf("orphan on repository %d after rejoin, want 1", a.Repo())
 	}
 	st := f.Finalize(5 * sim.Second)
 	if st.Orphaned != 1 || st.Migrations != 1 {
@@ -264,19 +226,16 @@ func TestCrashWithNoRoomOrphansThenRejoinRecovers(t *testing.T) {
 
 func TestMigrationPrefersServingCapableRepository(t *testing.T) {
 	net := netsim.Uniform(3, sim.Millisecond)
-	repos := population(3, 0.1)
+	repos := population(3, []string{"X"}, 0.1)
 	// Repository 2 (the nearest alternative by id order) serves X too
 	// loosely for the client; repository 3 serves it stringently.
 	repos[1].Serving["X"] = 2.0
 	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
 	f.Seed(map[string]float64{"X": 100})
 	f.ObserveCrash(sim.Second, 1)
-	if s.Repo != 3 {
-		t.Errorf("migrated to repository %d, want 3 (the one serving X at the client's tolerance)", s.Repo)
+	if s.Repo() != 3 {
+		t.Errorf("migrated to repository %d, want 3 (the one serving X at the client's tolerance)", s.Repo())
 	}
 }
 

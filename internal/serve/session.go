@@ -1,195 +1,48 @@
 package serve
 
 import (
-	"fmt"
-
-	"d3t/internal/coherency"
-	"d3t/internal/node"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
 )
 
-// Session is one client's live subscription: the items it watches at its
-// own tolerances, the repository currently serving it, its last-delivered
-// copy of every item, and the fidelity it has observed so far.
+// Session is a read-only view of one named session of the store — a
+// client admitted by AttachAll or a query's input session.
 type Session struct {
-	// Name identifies the session (the client's name).
-	Name string
-	// Home is the endpoint the client is co-located with; candidate
-	// repositories are ranked by delay from it.
-	Home repository.ID
-	// Repo is the repository currently serving the session, or
-	// repository.NoID while detached (departed or orphaned).
-	Repo repository.ID
-	// Wants maps item -> the client's own coherency tolerance.
-	Wants map[string]coherency.Requirement
-
-	// ns is the session's core-side state: the watch-list filter state
-	// and decision counters, shared with whichever node.Core currently
-	// serves the session.
-	ns *node.Session
-	// items is the watch list in sorted order, cached once at
-	// construction — every per-item sweep (attach, detach, seed,
-	// fidelity) walks it instead of re-sorting the Wants map.
-	items []string
-	// meters measures client-observed coherency per item over the
-	// session's attached lifetime; meters[i] belongs to items[i]. The
-	// meters are inline (not pointer-boxed), so the delivery hot path
-	// resolves an index and touches the struct directly.
-	meters []meter
-	// midx maps item -> index into items/meters.
-	midx map[string]int32
-	// redirected records whether admission skipped the nearest candidate.
-	redirected bool
+	f *Fleet
+	n named
 }
 
-// newSession builds a detached session over the watch list, caching the
-// sorted item order and laying the meters out inline.
-func newSession(name string, home repository.ID, wants map[string]coherency.Requirement) *Session {
-	s := &Session{
-		Name:   name,
-		Home:   home,
-		Repo:   repository.NoID,
-		Wants:  wants,
-		ns:     node.NewSession(name, wants),
-		items:  sortedItems(wants),
-		meters: make([]meter, len(wants)),
-		midx:   make(map[string]int32, len(wants)),
-	}
-	for i, x := range s.items {
-		s.meters[i] = meter{c: wants[x]}
-		s.midx[x] = int32(i)
-	}
-	return s
+// Session returns the view of the named session, and false when the
+// fleet holds none by that name.
+func (f *Fleet) Session(name string) (Session, bool) {
+	n, ok := f.byName[name]
+	return Session{f: f, n: n}, ok
 }
 
-// meterFor returns the session's meter for item, or nil when unwatched.
-func (s *Session) meterFor(item string) *meter {
-	i, ok := s.midx[item]
-	if !ok {
-		return nil
-	}
-	return &s.meters[i]
+// Repo returns the repository currently serving the session, or
+// repository.NoID while detached (departed or orphaned).
+func (s Session) Repo() repository.ID {
+	shi, i := split(s.n.h)
+	return repository.ID(s.f.shards[shi].repo[i])
 }
-
-// Value returns the session's current copy of item.
-func (s *Session) Value(item string) (float64, bool) {
-	m := s.meterFor(item)
-	if m == nil {
-		return 0, false
-	}
-	return m.have, true
-}
-
-// Attached reports whether the session is currently served.
-func (s *Session) Attached() bool { return s.Repo != repository.NoID }
-
-// Delivered and Filtered report the session's per-update decisions, as
-// counted by the serving core.
-func (s *Session) Delivered() uint64 { return s.ns.Delivered() }
-func (s *Session) Filtered() uint64  { return s.ns.Filtered() }
 
 // Redirected reports whether admission placed the session on other than
 // its nearest repository.
-func (s *Session) Redirected() bool { return s.redirected }
+func (s Session) Redirected() bool { return s.n.redirected }
 
-// Fidelity returns the client-observed fidelity up to now: the mean over
-// watched items of the fraction of attached time the client's copy was
-// within its own tolerance of the source. A session that was never
-// attached observed nothing and reports 1 (vacuous).
-func (s *Session) Fidelity(now sim.Time) float64 {
-	var sum float64
-	var n int
-	for i := range s.meters {
-		f, ok := s.meters[i].fidelity(now)
-		if !ok {
-			continue
-		}
-		sum += f
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
-// String describes the session.
-func (s *Session) String() string {
-	return fmt.Sprintf("session %s: repo %d, %d items", s.Name, s.Repo, len(s.Wants))
-}
-
-// meter integrates one (session, item) pair's coherency over the
-// session's attached lifetime. Like coherency.Tracker it exploits that
-// both signals are piecewise constant, but it additionally supports
-// detach/attach so fidelity is measured only while the client is served
-// — a departed client observes nothing.
-type meter struct {
-	c coherency.Requirement
-
-	src, have float64
-	attached  bool
-	inViol    bool
-	last      sim.Time // time of the most recent state change
-	span      sim.Time // total attached observation time
-	viol      sim.Time // attached time spent out of tolerance
-}
-
-// advance accounts [m.last, now) against the current state.
-func (m *meter) advance(now sim.Time) {
-	if now < m.last {
-		panic(fmt.Sprintf("serve: meter moved backwards from %v to %v", m.last, now))
-	}
-	if m.attached {
-		m.span += now - m.last
-		if m.inViol {
-			m.viol += now - m.last
+// Value returns the session's current copy of item, and false when the
+// session does not watch it.
+func (s Session) Value(item string) (float64, bool) {
+	shi, i := split(s.n.h)
+	sh := &s.f.shards[shi]
+	for wi, end := sh.watches(i); wi < end; wi++ {
+		if s.f.itemName[sh.wItem[wi]] == item {
+			return sh.wHave[wi], true
 		}
 	}
-	m.last = now
+	return 0, false
 }
 
-func (m *meter) refresh() { m.inViol = m.c.Violated(m.src, m.have) }
-
-// srcUpdate records a source value change.
-func (m *meter) srcUpdate(now sim.Time, v float64) {
-	m.advance(now)
-	m.src = v
-	m.refresh()
-}
-
-// deliver records a value delivered to the client.
-func (m *meter) deliver(now sim.Time, v float64) {
-	m.advance(now)
-	m.have = v
-	m.refresh()
-}
-
-// attach starts (or resumes) observation at now.
-func (m *meter) attach(now sim.Time) {
-	m.advance(now)
-	m.attached = true
-}
-
-// detach stops observation at now; the client's copy is kept (a
-// returning session resyncs before it counts again).
-func (m *meter) detach(now sim.Time) {
-	m.advance(now)
-	m.attached = false
-}
-
-// fidelity returns the attached-time fidelity up to now, and false when
-// the meter never observed any attached time.
-func (m *meter) fidelity(now sim.Time) (float64, bool) {
-	span, viol := m.span, m.viol
-	if m.attached && now > m.last {
-		span += now - m.last
-		if m.inViol {
-			viol += now - m.last
-		}
-	}
-	if span <= 0 {
-		return 1, false
-	}
-	return 1 - float64(viol)/float64(span), true
-}
+// Fidelity returns the client-observed fidelity up to now (see
+// Stats.MeanFidelity; 1 for a session that never attached).
+func (s Session) Fidelity(now sim.Time) float64 { return s.f.fidelity(s.n.h, now) }

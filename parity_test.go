@@ -246,12 +246,12 @@ func TestCrossBackendQueryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet.Seed(initial)
-	if _, err := fleet.AttachQueries(); err != nil {
+	if err := fleet.AttachQueries(); err != nil {
 		t.Fatal(err)
 	}
-	qs := fleet.QuerySession(q.Name)
-	if qs.Session().Repo != 1 {
-		t.Fatalf("sim query landed at %v, want repository 1", qs.Session().Repo)
+	qs := fleet.QuerySessions()[0]
+	if qs.Repo() != 1 {
+		t.Fatalf("sim query landed at %v, want repository 1", qs.Repo())
 	}
 	if _, err := dissemination.Run(o, traces, dissemination.NewDistributed(), dissemination.Config{Observer: fleet}); err != nil {
 		t.Fatal(err)
