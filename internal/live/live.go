@@ -26,12 +26,28 @@
 // with sharding enabled they are served by a dedicated serve-only core
 // fed after each shard's dependent pass; with one shard the single core
 // serves both, exactly as before.
+//
+// # The hop
+//
+// An edge is the dependent's inbox: a parent's worker sends a fan-out
+// pass's batch straight into the (dependent, shard) inbox, with no
+// forwarding goroutine or edge channel in between, so a copy costs one
+// channel operation per hop. Sends and receives try the channel alone
+// first and only fall back to a select with the cluster's stop channel
+// when they would block (send, recv): the stop channel is shared by every
+// goroutine and must stay off the hot path. CommDelay is a per-hop
+// latency, the simulator's model: the sender stamps each batch with the
+// time it is due at the receiver, and the receiving worker waits for it
+// (Stop wakes the wait), so batches in flight on one edge overlap instead
+// of queueing behind each other. A single-update batch carries its update
+// inline, so a steady stream of single publishes allocates nothing.
 package live
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"d3t/internal/ingest"
@@ -46,15 +62,21 @@ import (
 
 // Options configures a live cluster.
 type Options struct {
-	// CommDelay is applied to every update hop; CompDelay is the per-copy
-	// processing cost at a node. Both may be zero for fastest delivery.
+	// CommDelay is the one-way latency of every hop between repositories:
+	// each batch a node hands to a dependent (updates, keep-alives,
+	// failover syncs) is due there CommDelay after it was sent, and
+	// batches in flight on one edge overlap rather than queue behind each
+	// other. CompDelay is the per-copy processing cost at a node. Both may
+	// be zero for fastest delivery.
 	CommDelay time.Duration
 	CompDelay time.Duration
 	// OnDeliver, when set, observes every delivery at a repository. It is
 	// called from node goroutines and must be safe for concurrent use.
 	OnDeliver func(repo repository.ID, item string, value float64)
-	// Buffer is the per-node inbox size (default 256). A full inbox
-	// applies backpressure to the sender, mirroring a congested node.
+	// Buffer sizes every (node, shard) inbox and every session's delivery
+	// channel (default 256). The inbox is the only buffer on an edge —
+	// parents send straight into it — so a full inbox applies
+	// backpressure to every sender, mirroring a congested node.
 	Buffer int
 
 	// Shards splits every node into per-item-shard cores fed by batch
@@ -120,8 +142,11 @@ type Cluster struct {
 	nshards int
 	nodes   map[repository.ID]*node
 	start   time.Time
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// epoch is the real-time base of due stamps: CommDelay is a real
+	// delay whatever clock Options.Clock injects.
+	epoch time.Time
+	done  chan struct{}
+	wg    sync.WaitGroup
 
 	// topoMu guards the overlay wiring (Parents/Dependents/Serving) and
 	// session placement: failure repair rewires the overlay while node
@@ -145,18 +170,44 @@ type upd struct {
 }
 
 // batch is the unit every channel carries: all the updates one fan-out
-// pass produced for one (dependent, shard) edge, or a keep-alive. The
-// observability stamps (sent, born, tid) are zero unless an obs tree is
-// attached; failover sync sends leave them zero so repair pushes never
-// pollute the hop histograms.
+// pass produced for one (dependent, shard) edge, or a keep-alive. A
+// single-update batch carries its update inline (one) and allocates
+// nothing; only a batch of two or more owns an ups slice. due is the
+// real time (nanoseconds on Cluster.epoch) the receiver may handle the
+// batch at, 0 without a CommDelay. The observability stamps (sent, born,
+// tid) are zero unless an obs tree is attached; failover sync sends leave
+// them zero so repair pushes never pollute the hop histograms.
 type batch struct {
 	from      repository.ID
 	heartbeat bool
+	one       [1]upd
 	ups       []upd
+	due       int64
 
 	sent sim.Time // cluster time the sender handed the batch to the edge
 	born sim.Time // cluster time the batch's tick entered at the source
 	tid  uint64   // sampled trace id (0 = untraced)
+}
+
+// updates returns the batch's updates: none for a keep-alive, else ups
+// when it has several and the inline one when it has one.
+func (b *batch) updates() []upd {
+	switch {
+	case b.heartbeat:
+		return nil
+	case b.ups != nil:
+		return b.ups
+	}
+	return b.one[:]
+}
+
+// add appends u to a batch that holds at least one update, moving it onto
+// a slice at its second.
+func (b *batch) add(u upd) {
+	if b.ups == nil {
+		b.ups = append(make([]upd, 0, 4), b.one[0])
+	}
+	b.ups = append(b.ups, u)
 }
 
 // node is one overlay repository: per-shard cores and channels, plus the
@@ -164,12 +215,16 @@ type batch struct {
 type node struct {
 	repo *repository.Repository
 
-	// mu guards dead and lastHeard — and, with sharding enabled, the
-	// dedicated session core. With one shard, session state is guarded
-	// by the single shard's mutex instead (one lock per node, exactly
-	// the pre-sharding discipline).
+	// dead is set by Crash; every goroutine reads it lock-free.
+	dead atomic.Bool
+
+	// mu guards lastHeard — and, with sharding enabled, the dedicated
+	// session core. With one shard, session state is guarded by the
+	// single shard's mutex instead (one lock per node, exactly the
+	// pre-sharding discipline). lastHeard is kept only while failure
+	// detection is armed (Options.FailWindow > 0): the watchdog is its
+	// only reader.
 	mu        sync.Mutex
-	dead      bool
 	lastHeard map[repository.ID]time.Time
 
 	// obs is the node's observer (nil when Options.Obs is unset); the
@@ -189,8 +244,8 @@ type node struct {
 }
 
 // nodeShard is one item partition of a node: its own core (values,
-// per-edge filter state for the shard's items), batch inbox, and batch
-// out channels (one per dependent).
+// per-edge filter state for the shard's items), batch inbox, and out
+// edges — each dependent's inbox for the same shard.
 type nodeShard struct {
 	mu   sync.Mutex
 	core *dnode.Core
@@ -229,8 +284,8 @@ type pendSend struct {
 
 // depSend is one flushed per-dependent batch.
 type depSend struct {
-	ch  chan batch
-	ups []upd
+	ch chan batch
+	b  batch
 }
 
 // transport adapts one core's decisions to channels. Dependent sends are
@@ -322,6 +377,77 @@ func (c *Cluster) tickerPeriod() time.Duration {
 	return period
 }
 
+// send hands b to ch. It tries the channel alone first and selects on
+// the stop channel only when ch is full, so an uncontended send never
+// touches the lock every goroutine shares. It reports false if the
+// cluster stopped while the send was blocked.
+func (c *Cluster) send(ch chan<- batch, b batch) bool {
+	select {
+	case ch <- b:
+		return true
+	default:
+	}
+	select {
+	case ch <- b:
+		return true
+	case <-c.done:
+		return false
+	}
+}
+
+// recv takes the next batch off ch, the same way round as send: the stop
+// channel is consulted only when ch is empty. It reports false if the
+// cluster stopped while the receive was blocked.
+func (c *Cluster) recv(ch <-chan batch) (batch, bool) {
+	select {
+	case b := <-ch:
+		return b, true
+	default:
+	}
+	select {
+	case b := <-ch:
+		return b, true
+	case <-c.done:
+		return batch{}, false
+	}
+}
+
+// stopped reports whether Stop has begun. Publishers check it before
+// sending, since the fast path of send never looks at the stop channel.
+func (c *Cluster) stopped() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// hopDue stamps a batch a node hands to a dependent: the real time it is
+// due at the receiver, CommDelay from now (0 without a delay).
+func (c *Cluster) hopDue() int64 {
+	if c.opts.CommDelay <= 0 {
+		return 0
+	}
+	return int64(time.Since(c.epoch) + c.opts.CommDelay)
+}
+
+// await parks a worker until a batch's due stamp on the worker's timer.
+// It reports false if the cluster stopped during the wait.
+func (c *Cluster) await(due int64, timer *time.Timer) bool {
+	wait := time.Duration(due) - time.Since(c.epoch)
+	if wait <= 0 {
+		return true
+	}
+	timer.Reset(wait)
+	select {
+	case <-timer.C:
+		return true
+	case <-c.done:
+		return false
+	}
+}
+
 // NewCluster builds (but does not start) a live cluster over the overlay.
 func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 	if opts.Buffer <= 0 {
@@ -344,6 +470,7 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 		opts:    opts,
 		nshards: nshards,
 		nodes:   make(map[repository.ID]*node, len(o.Nodes)),
+		epoch:   time.Now(),
 		done:    make(chan struct{}),
 	}
 	c.start = c.clock()
@@ -365,13 +492,6 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 				out:  make(map[repository.ID]chan batch),
 			}
 			sh.tr.c, sh.tr.sh = c, sh
-			for _, deps := range r.Dependents {
-				for _, dep := range deps {
-					if _, ok := sh.out[dep]; !ok {
-						sh.out[dep] = make(chan batch, opts.Buffer)
-					}
-				}
-			}
 			n.shards[s] = sh
 		}
 		if nshards > 1 {
@@ -389,37 +509,39 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 		}
 		c.nodes[r.ID] = n
 	}
+	// Wire the edges: a shard's out edge to a dependent is that
+	// dependent's inbox for the same shard.
+	for _, n := range c.nodes {
+		for s, sh := range n.shards {
+			for _, deps := range n.repo.Dependents {
+				for _, dep := range deps {
+					sh.out[dep] = c.nodes[dep].shards[s].in
+				}
+			}
+		}
+	}
 	return c
 }
 
-// Start launches one worker goroutine per (node, shard) plus one
-// forwarder per (overlay edge, shard) — and, when failure handling is
-// armed, one heartbeater and one watchdog per node. It must be called
-// once.
+// Start launches one worker goroutine per (node, shard) — and, when
+// failure handling is armed, one heartbeater per node, one watchdog per
+// non-source node and one session watchdog. It must be called once.
 func (c *Cluster) Start() {
 	now := c.clock()
 	for _, n := range c.nodes {
-		n := n
-		n.mu.Lock()
-		for _, pid := range c.overlay.ParentsOf(n.repo.ID) {
-			n.lastHeard[pid] = now // grace period: silence counts from start
+		if c.opts.FailWindow > 0 {
+			n.mu.Lock()
+			for _, pid := range c.overlay.ParentsOf(n.repo.ID) {
+				n.lastHeard[pid] = now // grace period: silence counts from start
+			}
+			n.mu.Unlock()
 		}
-		n.mu.Unlock()
-		for si, sh := range n.shards {
-			sh := sh
+		for _, sh := range n.shards {
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				c.runShard(n, sh)
 			}()
-			for dep, ch := range sh.out {
-				child, ch, si := c.nodes[dep], ch, si
-				c.wg.Add(1)
-				go func() {
-					defer c.wg.Done()
-					c.forwardLoop(ch, child, si)
-				}()
-			}
 		}
 		if c.opts.Heartbeat > 0 {
 			c.wg.Add(1)
@@ -447,37 +569,6 @@ func (c *Cluster) Start() {
 	}
 }
 
-// forwardLoop ships batches over one (edge, shard) in FIFO order,
-// applying the wire delay per batch.
-func (c *Cluster) forwardLoop(ch chan batch, child *node, shard int) {
-	var timer *time.Timer
-	for {
-		select {
-		case <-c.done:
-			return
-		case b := <-ch:
-			if c.opts.CommDelay > 0 {
-				if timer == nil {
-					timer = time.NewTimer(c.opts.CommDelay)
-					defer timer.Stop()
-				} else {
-					timer.Reset(c.opts.CommDelay)
-				}
-				select {
-				case <-c.done:
-					return
-				case <-timer.C:
-				}
-			}
-			select {
-			case child.shards[shard].in <- b:
-			case <-c.done:
-				return
-			}
-		}
-	}
-}
-
 // Stop terminates all node goroutines and waits for them, then closes
 // every shard's write-ahead log (flushing and fsyncing per policy), so a
 // stopped durable cluster's directories hold its exact final state.
@@ -490,7 +581,11 @@ func (c *Cluster) Stop() {
 // Publish injects a new value of item at the source. It blocks only if
 // the source inbox is full, and returns false if the cluster is stopped.
 func (c *Cluster) Publish(item string, value float64) bool {
-	return c.PublishBatch([]Update{{Item: item, Value: value}})
+	if c.stopped() {
+		return false
+	}
+	src := c.nodes[repository.SourceID]
+	return c.inject(src, src.shardOf(item), batch{one: [1]upd{{item, value}}})
 }
 
 // PublishBatch injects one tick's worth of source updates as batches:
@@ -498,12 +593,8 @@ func (c *Cluster) Publish(item string, value float64) bool {
 // receives its partition as a single batch (in shard order). It returns
 // false if the cluster is stopped.
 func (c *Cluster) PublishBatch(ups []Update) bool {
-	// Check shutdown first: when an inbox also has room, a single select
-	// would pick between the two ready cases at random.
-	select {
-	case <-c.done:
+	if c.stopped() {
 		return false
-	default:
 	}
 	src := c.nodes[repository.SourceID]
 	perShard := make([][]upd, len(src.shards))
@@ -512,25 +603,25 @@ func (c *Cluster) PublishBatch(ups []Update) bool {
 		perShard[s] = append(perShard[s], upd{ups[i].Item, ups[i].Value})
 	}
 	for s, b := range perShard {
-		if len(b) == 0 {
-			continue
-		}
-		out := batch{ups: b}
-		if src.obs != nil {
-			// Stamp the tick's birth time and maybe sample a trace; the
-			// source "hop" (publish to source receipt) is skipped by
-			// handleBatch because from == the source's own id.
-			now := c.now()
-			out.sent, out.born = now, now
-			out.tid = c.opts.Obs.TracerOrNil().Sample(b[0].item, repository.SourceID, int64(now))
-		}
-		select {
-		case src.shards[s].in <- out:
-		case <-c.done:
+		if len(b) > 0 && !c.inject(src, src.shards[s], batch{ups: b}) {
 			return false
 		}
 	}
 	return true
+}
+
+// inject hands one source batch to a shard of the source. Publishing is
+// not a hop, so the batch carries no due stamp; with an obs tree it is
+// stamped with the tick's birth time and maybe sampled for a trace
+// (handleBatch skips the source "hop" because from is the source's own
+// id).
+func (c *Cluster) inject(src *node, sh *nodeShard, b batch) bool {
+	if src.obs != nil {
+		now := c.now()
+		b.sent, b.born = now, now
+		b.tid = c.opts.Obs.TracerOrNil().Sample(b.updates()[0].item, repository.SourceID, int64(now))
+	}
+	return c.send(sh.in, b)
 }
 
 // Value returns a node's current copy of item.
@@ -561,18 +652,22 @@ func (c *Cluster) Seed(item string, value float64) {
 	}
 }
 
-// runShard is the per-(node, shard) worker body: receive a batch,
-// record, filter, forward. A crashed node keeps draining its inboxes —
-// a dead process's peers are not blocked by it — but drops everything on
-// the floor.
+// runShard is the per-(node, shard) worker body: receive a batch, wait
+// out its hop latency, record, filter, forward. A crashed node keeps
+// draining its inboxes — a dead process's peers are not blocked by it —
+// but drops everything on the floor.
 func (c *Cluster) runShard(n *node, sh *nodeShard) {
+	var timer *time.Timer // only batches stamped under a CommDelay wait
+	if c.opts.CommDelay > 0 {
+		timer = time.NewTimer(c.opts.CommDelay)
+		defer timer.Stop()
+	}
 	for {
-		select {
-		case <-c.done:
+		b, ok := c.recv(sh.in)
+		if !ok || (b.due != 0 && !c.await(b.due, timer)) {
 			return
-		case b := <-sh.in:
-			c.handleBatch(n, sh, b)
 		}
+		c.handleBatch(n, sh, &b)
 	}
 }
 
@@ -581,21 +676,23 @@ func (c *Cluster) runShard(n *node, sh *nodeShard) {
 // dependents through the per-edge filters, sessions through the
 // per-client ones — while the wiring is stable under the locks; the
 // (blocking) channel sends to dependents happen after they drop.
-func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
-	c.topoMu.RLock()
-	n.mu.Lock()
-	dead := n.dead
-	if !dead {
-		n.lastHeard[b.from] = c.clock()
-	}
-	n.mu.Unlock()
-	if dead || b.heartbeat {
-		c.topoMu.RUnlock()
+func (c *Cluster) handleBatch(n *node, sh *nodeShard, b *batch) {
+	if n.dead.Load() {
 		return
 	}
+	if c.opts.FailWindow > 0 {
+		n.mu.Lock()
+		n.lastHeard[b.from] = c.clock()
+		n.mu.Unlock()
+	}
+	if b.heartbeat {
+		return
+	}
+	ups := b.updates()
+	c.topoMu.RLock()
 	if n.obs != nil {
 		now := c.now()
-		n.obs.Batch(len(b.ups))
+		n.obs.Batch(len(ups))
 		if b.sent != 0 && b.from != n.repo.ID {
 			// A stamped batch from an upstream peer: record the hop
 			// (sender's flush to our receipt, the Eq. 2 edge-delay input)
@@ -609,13 +706,13 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 	}
 	sh.mu.Lock()
 	sh.tr.pending = sh.tr.pending[:0]
-	for _, u := range b.ups {
+	for _, u := range ups {
 		sh.core.Apply(u.item, u.value, &sh.tr)
 	}
 	if sh.dur != nil {
 		// Group commit on the batch boundary, after the Apply loop (the
 		// ordering rule of node.Durable).
-		for _, u := range b.ups {
+		for _, u := range ups {
 			sh.dur.Append(u.item, u.value)
 		}
 		sh.dur.Commit()
@@ -626,7 +723,7 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 		// Sharded nodes fan the batch to client sessions through the
 		// dedicated serve-only core.
 		n.mu.Lock()
-		for _, u := range b.ups {
+		for _, u := range ups {
 			n.sessCore.Apply(u.item, u.value, &n.sessTr)
 		}
 		n.mu.Unlock()
@@ -634,48 +731,49 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 	c.topoMu.RUnlock()
 
 	if !n.repo.IsSource() && c.opts.OnDeliver != nil {
-		for _, u := range b.ups {
+		for _, u := range ups {
 			c.opts.OnDeliver(n.repo.ID, u.item, u.value)
 		}
 	}
 
-	for _, s := range sends {
+	for i := range sends {
+		out := sends[i].b
 		if c.opts.CompDelay > 0 {
 			// Serial per-copy processing cost, charged per update in the
 			// batch.
-			time.Sleep(time.Duration(len(s.ups)) * c.opts.CompDelay)
+			time.Sleep(time.Duration(len(out.updates())) * c.opts.CompDelay)
 		}
-		out := batch{from: n.repo.ID, ups: s.ups}
+		out.from = n.repo.ID
 		if n.obs != nil {
 			// Restamp the flush time (the hop downstream measures) and
 			// carry the tick's birth stamp and trace id along, so a
 			// sampled trace accumulates the whole fan-out tree.
 			out.sent, out.born, out.tid = c.now(), b.born, b.tid
 		}
-		select {
-		case s.ch <- out:
-		case <-c.done:
+		out.due = c.hopDue()
+		if !c.send(sends[i].ch, out) {
 			return
 		}
 	}
 }
 
 // groupSends folds the pass's collected copies into one batch per
-// dependent channel, in first-forward order, reusing the shard's scratch
-// slice. The per-dependent ups slices are freshly allocated because the
-// receiving shard owns them after the send; the returned slice is valid
-// until the worker's next pass (only the shard's own worker calls this).
+// dependent, in first-forward order, reusing the shard's scratch slice.
+// A dependent's first copy rides inline; only a second one in the same
+// pass allocates, a fresh ups slice, because the receiving shard owns it
+// after the send. The returned slice is valid until the worker's next
+// pass (only the shard's own worker calls this).
 func (sh *nodeShard) groupSends() []depSend {
 	sh.sends = sh.sends[:0]
 outer:
 	for _, p := range sh.tr.pending {
 		for i := range sh.sends {
 			if sh.sends[i].ch == p.ch {
-				sh.sends[i].ups = append(sh.sends[i].ups, p.u)
+				sh.sends[i].b.add(p.u)
 				continue outer
 			}
 		}
-		sh.sends = append(sh.sends, depSend{ch: p.ch, ups: append(make([]upd, 0, 4), p.u)})
+		sh.sends = append(sh.sends, depSend{ch: p.ch, b: batch{one: [1]upd{p.u}}})
 	}
 	return sh.sends
 }
@@ -689,9 +787,7 @@ func (c *Cluster) Crash(id repository.ID) bool {
 	if !ok || n.repo.IsSource() {
 		return false
 	}
-	n.mu.Lock()
-	n.dead = true
-	n.mu.Unlock()
+	n.dead.Store(true)
 	return true
 }
 
@@ -706,24 +802,21 @@ func (c *Cluster) Failovers() int {
 func (c *Cluster) heartbeatLoop(n *node) {
 	ticker := time.NewTicker(c.opts.Heartbeat)
 	defer ticker.Stop()
-	hb := batch{from: n.repo.ID, heartbeat: true}
+	var chans []chan batch
 	for {
 		select {
 		case <-c.done:
 			return
 		case <-ticker.C:
 		}
-		n.mu.Lock()
-		dead := n.dead
-		n.mu.Unlock()
-		if dead {
+		if n.dead.Load() {
 			continue
 		}
 		c.topoMu.RLock()
 		// Keep-alives ride shard 0: parent liveness is node-level state,
-		// so one shard's channel suffices.
+		// so one shard's inbox suffices.
 		sh0 := n.shards[0]
-		var chans []chan batch
+		chans = chans[:0]
 		for _, dep := range c.overlay.ChildrenOf(n.repo.ID) {
 			sh0.mu.Lock()
 			ch := sh0.out[dep]
@@ -740,10 +833,9 @@ func (c *Cluster) heartbeatLoop(n *node) {
 		score.TouchSessions(c.now())
 		smu.Unlock()
 		c.topoMu.RUnlock()
+		hb := batch{from: n.repo.ID, heartbeat: true, due: c.hopDue()}
 		for _, ch := range chans {
-			select {
-			case ch <- hb:
-			case <-c.done:
+			if !c.send(ch, hb) {
 				return
 			}
 		}
@@ -760,8 +852,10 @@ func (c *Cluster) watchdogLoop(n *node) {
 			return
 		case <-ticker.C:
 		}
+		if n.dead.Load() {
+			continue
+		}
 		n.mu.Lock()
-		dead := n.dead
 		var stale []repository.ID
 		now := c.clock()
 		for pid, heard := range n.lastHeard {
@@ -770,9 +864,6 @@ func (c *Cluster) watchdogLoop(n *node) {
 			}
 		}
 		n.mu.Unlock()
-		if dead {
-			continue
-		}
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 		for _, pid := range stale {
 			c.failover(n, pid)
@@ -787,11 +878,7 @@ func (c *Cluster) watchdogLoop(n *node) {
 // item has moved). The backup's core seeds the revived edge with the
 // synced value, so the first post-resync update filters correctly.
 func (c *Cluster) failover(n *node, deadPID repository.ID) {
-	type syncSend struct {
-		ch chan batch
-		b  batch
-	}
-	var syncs []syncSend
+	var syncs []depSend
 
 	c.topoMu.Lock()
 	var items []string
@@ -827,39 +914,28 @@ func (c *Cluster) failover(n *node, deadPID repository.ID) {
 			if bn == nil {
 				continue
 			}
-			bn.mu.Lock()
-			bDead := bn.dead
-			bn.mu.Unlock()
 			bRepo := c.overlay.Node(b)
-			if bDead || !bRepo.CanServe(x, cDep) || !bRepo.HasCapacityFor(n.repo.ID) {
+			if bn.dead.Load() || !bRepo.CanServe(x, cDep) || !bRepo.HasCapacityFor(n.repo.ID) {
 				continue
 			}
-			// Adopt: rewire the overlay edge and make sure forwarders
-			// exist for it on every shard (updates ride the item's shard,
-			// keep-alives ride shard 0), then queue a sync push of the
-			// backup's current copy so the dependent converges
-			// immediately.
+			// Adopt: rewire the overlay edge and point every backup shard
+			// at the dependent's inbox for that shard (updates ride the
+			// item's shard, keep-alives ride shard 0), then queue a sync
+			// push of the backup's current copy so the dependent
+			// converges immediately.
 			bRepo.AddDependent(x, n.repo.ID)
 			n.repo.Parents[x] = b
 			moved = true
 			for si, bsh := range bn.shards {
 				bsh.mu.Lock()
-				if bsh.out[n.repo.ID] == nil {
-					ch := make(chan batch, c.opts.Buffer)
-					bsh.out[n.repo.ID] = ch
-					c.wg.Add(1)
-					go func(si int) {
-						defer c.wg.Done()
-						c.forwardLoop(ch, n, si)
-					}(si)
-				}
+				bsh.out[n.repo.ID] = n.shards[si].in
 				bsh.mu.Unlock()
 			}
 			bsh := bn.shardOf(x)
 			bsh.mu.Lock()
 			if v, hasV := bsh.core.Value(x); hasV {
 				bsh.core.ResetEdge(n.repo.ID, x, v)
-				syncs = append(syncs, syncSend{bsh.out[n.repo.ID], batch{from: b, ups: []upd{{x, v}}}})
+				syncs = append(syncs, depSend{bsh.out[n.repo.ID], batch{from: b, one: [1]upd{{x, v}}}})
 			}
 			bsh.mu.Unlock()
 			n.mu.Lock()
@@ -874,9 +950,8 @@ func (c *Cluster) failover(n *node, deadPID repository.ID) {
 	c.topoMu.Unlock()
 
 	for _, s := range syncs {
-		select {
-		case s.ch <- s.b:
-		case <-c.done:
+		s.b.due = c.hopDue()
+		if !c.send(s.ch, s.b) {
 			return
 		}
 	}

@@ -112,10 +112,23 @@ func TestClusterObservesDeliveries(t *testing.T) {
 
 func TestClusterStopTerminates(t *testing.T) {
 	o := chainOverlay(t)
-	c := NewCluster(o, Options{CommDelay: 50 * time.Millisecond})
+	c := NewCluster(o, Options{CommDelay: time.Hour, Buffer: 1})
 	c.Seed("X", 100)
 	c.Start()
-	c.Publish("X", 500) // leaves an in-flight delayed send
+	// Every copy to P is due an hour after the source sends it. With
+	// one-slot inboxes, the source can apply 700 only after sending 600
+	// into P's inbox, so P's worker has taken 500 off it and parked on
+	// its due stamp; the source's send of 700 then blocks on the full
+	// inbox. Stop must wake both.
+	for _, v := range []float64{500, 600, 700} {
+		c.Publish("X", v)
+	}
+	if !waitFor(t, time.Second, func() bool {
+		v, _ := c.Value(repository.SourceID, "X")
+		return v == 700
+	}) {
+		t.Fatal("the source never applied the third publish")
+	}
 	done := make(chan struct{})
 	go func() {
 		c.Stop()

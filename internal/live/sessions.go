@@ -324,10 +324,7 @@ func (c *Cluster) sessionCandidatesLocked(preferred []repository.ID, skip reposi
 func (c *Cluster) placeSessionLocked(s *Session, preferred []repository.ID, skip repository.ID) repository.ID {
 	for _, id := range c.sessionCandidatesLocked(preferred, skip) {
 		n := c.nodes[id]
-		n.mu.Lock()
-		dead := n.dead
-		n.mu.Unlock()
-		if dead {
+		if n.dead.Load() {
 			continue
 		}
 		mu, core := n.sessionCore()
