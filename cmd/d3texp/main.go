@@ -52,8 +52,7 @@ func main() {
 		cap      = flag.Int("session-cap", 0, "sessions per repository before overflow redirects (0 = unlimited)")
 		virtual  = flag.Int("virtual-sessions", 0, "virtual sessions applied to every sweep point (the client/query/vserve figures override the population)")
 		scenario = flag.String("scenario", "", "scenario over the virtual population applied to every sweep point, e.g. flash:at=0.3,frac=0.5")
-		shards   = flag.Int("shards", 0, "ingest worker shards applied to every plain sweep point (<=1 = sequential)")
-		batch    = flag.Int("batch", 0, "ingest batch window in ticks applied to every plain sweep point (<=1 = off)")
+		batch    = flag.Int("batch", 0, "coalescing window in ticks applied to every sweep point (<=1 = off)")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		verbose  = flag.Bool("v", false, "debug logging on stderr (per-point sweep progress, cache stats)")
 		quiet    = flag.Bool("quiet", false, "suppress informational logging")
@@ -130,7 +129,6 @@ func main() {
 	s.Clients = *clients
 	s.ItemsPerClient = *itemsPC
 	s.SessionCap = *cap
-	s.Shards = *shards
 	s.BatchTicks = *batch
 	s.Queries = queries
 	s.VirtualSessions = *virtual

@@ -18,7 +18,6 @@ import (
 
 	"d3t/internal/core"
 	"d3t/internal/obs"
-	"d3t/internal/query"
 	"d3t/internal/trace"
 )
 
@@ -49,8 +48,8 @@ func main() {
 	flag.Float64Var(&cfg.PPercent, "p", cfg.PPercent, "LeLA load-controller admission band (%)")
 	flag.StringVar(&cfg.Preference, "pref", cfg.Preference, "LeLA preference function: P1 or P2")
 	flag.StringVar(&cfg.Protocol, "protocol", cfg.Protocol, "dissemination: distributed, centralized, naive-eq3, all-push")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "ingest worker shards items hash-partition across (<=1 = sequential; plain runs only)")
-	flag.IntVar(&cfg.BatchTicks, "batch", cfg.BatchTicks, "coalesce each item's updates over windows of this many ticks (<=1 = off; plain runs only)")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "parallel item shards (<=1 = one run; rejected with -clients, -virtual-sessions, -query, -faults or -durability-dir)")
+	flag.IntVar(&cfg.BatchTicks, "batch", cfg.BatchTicks, "coalesce each item's updates over windows of this many ticks (<=1 = off)")
 	flag.StringVar(&cfg.Workload, "workload", cfg.Workload,
 		"trace workload family: "+strings.Join(trace.WorkloadNames(), ", "))
 	flag.StringVar(&cfg.WorkloadPath, "workload-path", cfg.WorkloadPath, "trace CSV file for -workload=csv")
@@ -75,12 +74,10 @@ func main() {
 	flag.Var(&queries, "query", "derived-data query spec, repeatable — e.g. 'avg(w=5;ITEM000,ITEM001,ITEM002)@0.05' or 'diff(ITEM000,ITEM001)@0.1!client'")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	flag.Parse()
-	if len(queries) > 0 {
-		if _, err := query.ParseList(queries); err != nil {
-			fmt.Fprintf(os.Stderr, "d3tsim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Queries = append(cfg.Queries, queries...)
+	cfg.Queries = append(cfg.Queries, queries...)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "d3tsim: %v\n", err)
+		os.Exit(2)
 	}
 
 	level := obs.LevelInfo
@@ -119,6 +116,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "d3tsim: %v\n", err)
 		os.Exit(1)
 	}
+	elapsed := time.Since(start)
 	workload := cfg.Workload
 	if workload == "" {
 		workload = "stocks"
@@ -139,13 +137,11 @@ func main() {
 	fmt.Printf("deliveries          %d\n", out.Stats.Deliveries)
 	fmt.Printf("source utilization  %.1f%%\n", 100*out.SourceUtilization)
 	fmt.Printf("simulation events   %d\n", out.Stats.Events)
-	if (cfg.Shards > 1 || cfg.BatchTicks > 1) && out.Ingest == nil {
-		fmt.Printf("ingest              sequential (-shards/-batch apply to plain runs only)\n")
-	}
-	if ing := out.Ingest; ing != nil {
-		fmt.Printf("ingest              %d shards, batch window %d ticks\n", ing.Shards, ing.BatchTicks)
-		fmt.Printf("ingest updates      %d disseminated, %d coalesced away\n", ing.Updates, ing.Coalesced)
-		fmt.Printf("ingest throughput   %.0f updates/s (%v wall)\n", ing.UpdatesPerSec, ing.Elapsed.Round(time.Millisecond))
+	if cfg.Shards > 1 || cfg.BatchTicks > 1 {
+		fmt.Printf("shards / batching   %d shards, batch window %d ticks\n", max(cfg.Shards, 1), max(cfg.BatchTicks, 1))
+		fmt.Printf("updates             %d disseminated, %d coalesced away\n", out.Stats.SourceTicks, out.Coalesced)
+		fmt.Printf("throughput          %.0f updates/s (%v wall)\n",
+			float64(out.Stats.SourceTicks)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 	}
 	if r := out.Resilience; r != nil {
 		fmt.Printf("faults              %s (crashes %d, rejoins %d)\n", cfg.Faults, r.Crashes, r.Rejoins)

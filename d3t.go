@@ -32,10 +32,12 @@
 //     flash crowds, correlated regional failures and diurnal load waves
 //     over the synthetic population. live and netio serve sessions over
 //     channels and TCP subscriptions.
-//   - Sharded ingest: Config.Shards/Config.BatchTicks hash-partition
-//     independent items across parallel workers and coalesce update
-//     bursts into batches — the same partition drives the simulator,
-//     live's per-shard batch channels, and netio's multi-update frames.
+//   - Sharding and batching: Config.BatchTicks coalesces every run's
+//     update bursts into the newest value per window, and Config.Shards
+//     runs the simulation once per item shard in parallel (exact,
+//     because items are independent; rejected where a layer couples
+//     them). The same item partition drives live's per-shard cores, and
+//     netio carries batches in multi-update frames.
 //   - Durability: Config.Durability (and the WAL building blocks) backs
 //     every repository with a per-shard write-ahead log plus periodic
 //     snapshots, group-committed on batch boundaries. A killed

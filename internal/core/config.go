@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"d3t/internal/dissemination"
-	"d3t/internal/ingest"
 	"d3t/internal/netsim"
 	"d3t/internal/obs"
 	"d3t/internal/query"
@@ -125,18 +124,18 @@ type Config struct {
 	// (and leaves every figure byte-identical to a build without it).
 	Queries []string
 
-	// Shards hash-partitions the data items across a parallel ingest
-	// worker pool (internal/ingest): each shard runs the disjoint item
-	// partition's dissemination independently, which the paper's per-item
-	// trees make exact. Values <= 1 keep the sequential path (and its
-	// byte-identical figures). Sharding applies to plain runs only: the
-	// queueing node model, fault injection and the client-serving layer
-	// couple items through shared state, so those runs ignore it.
+	// Shards hash-partitions the data items (node.ShardOf) across parallel
+	// runs of the one loop (dissemination.RunShards), which the paper's
+	// per-item trees make exact: the outcome equals the unsharded run's.
+	// Values <= 1 run unsharded. Queueing, Faults, Durability, Clients,
+	// VirtualSessions and Queries couple items through shared state, so
+	// Validate rejects each of them together with Shards > 1.
 	Shards int
 	// BatchTicks coalesces each item's updates over windows of this many
-	// source ticks before dissemination: within a window only the newest
-	// value moves. Values <= 1 disable batching. Like Shards it applies
-	// to plain runs only.
+	// source ticks before the run (trace.CoalesceTraces): within a window
+	// only the newest value moves. It applies to every run — trackers,
+	// serving layer and fault layer all see the coalesced feed — and
+	// Outcome.Coalesced counts the folded updates. Values <= 1 disable it.
 	BatchTicks int
 
 	// Faults selects a failure-injection plan (see resilience.ParsePlan):
@@ -164,10 +163,11 @@ type Config struct {
 
 	// Obs, when set, collects per-node observability — decision counters,
 	// latency histograms, load/edge-delay EWMAs and sampled update traces
-	// — across every layer the run touches (dissemination, ingest,
-	// serving). Observation is passive: a run produces byte-identical
-	// results with or without it (TestObsDisabledByteIdentical). The
-	// tree's snapshot at the run's horizon lands in Outcome.Obs.
+	// — across every layer the run touches (dissemination, faults,
+	// serving), every shard recording into the one tree. Observation is
+	// passive: a run produces byte-identical results with or without it
+	// (TestObsDisabledByteIdentical). The tree's snapshot at the run's
+	// horizon lands in Outcome.Obs.
 	Obs *obs.Tree `json:"-"`
 
 	// Seed makes the whole run deterministic.
@@ -260,6 +260,23 @@ func (c Config) Validate() error {
 	if _, err := wal.ParsePolicy(c.Durability.Fsync); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	if c.Shards > 1 {
+		for _, layer := range []struct {
+			field string
+			on    bool
+		}{
+			{"Queueing", c.Queueing},
+			{"Faults", c.FaultsEnabled()},
+			{"Durability", c.Durability.Enabled()},
+			{"Clients", c.ClientsEnabled()},
+			{"VirtualSessions", c.VirtualEnabled()},
+			{"Queries", c.QueriesEnabled()},
+		} {
+			if layer.on {
+				return fmt.Errorf("core: Shards %d with %s: that layer couples items, so the run cannot be sharded", c.Shards, layer.field)
+			}
+		}
+	}
 	return nil
 }
 
@@ -311,23 +328,6 @@ func (c Config) QueriesEnabled() bool { return len(c.Queries) > 0 }
 // queries parses the configured query catalogue (named q0, q1, ...).
 func (c Config) queries() ([]query.Query, error) {
 	return query.ParseList(c.Queries)
-}
-
-// ingestConfig converts the sharding/batching fields.
-func (c Config) ingestConfig() ingest.Config {
-	return ingest.Config{Shards: c.Shards, BatchTicks: c.BatchTicks, Obs: c.Obs}
-}
-
-// IngestEnabled reports whether the run goes through the sharded/batched
-// ingest runner: the config asks for it and the run is plain — the
-// queueing model, fault injection and the client-serving layer couple
-// items through shared state (serial stations, overlay rewires, the
-// single-threaded fleet observer), so those runs keep the sequential
-// path and ignore the ingest fields.
-func (c Config) IngestEnabled() bool {
-	return c.ingestConfig().Enabled() && !c.Queueing && !c.FaultsEnabled() &&
-		!c.ClientsEnabled() && !c.QueriesEnabled() && !c.VirtualEnabled() &&
-		!c.Durability.Enabled()
 }
 
 // sessionPlan parses the configured session-churn plan over the session

@@ -58,27 +58,42 @@ func TestRunExperimentDeterministic(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Repositories = 0 },
-		func(c *Config) { c.Items = 0 },
-		func(c *Config) { c.Ticks = 1 },
-		func(c *Config) { c.SubscribeProb = 0 },
-		func(c *Config) { c.SubscribeProb = 1.5 },
-		func(c *Config) { c.StringentFrac = -0.1 },
-		func(c *Config) { c.CoopDegree = -1 },
-		func(c *Config) { c.Builder = "mystery" },
-		func(c *Config) { c.Protocol = "mystery" },
-		func(c *Config) { c.Preference = "P3" },
-	}
-	for i, mutate := range bad {
+	for i, tc := range []struct {
+		mutate func(*Config)
+		want   string // a substring of the error; "" accepts any error
+	}{
+		{func(c *Config) { c.Repositories = 0 }, ""},
+		{func(c *Config) { c.Items = 0 }, ""},
+		{func(c *Config) { c.Ticks = 1 }, ""},
+		{func(c *Config) { c.SubscribeProb = 0 }, ""},
+		{func(c *Config) { c.SubscribeProb = 1.5 }, ""},
+		{func(c *Config) { c.StringentFrac = -0.1 }, ""},
+		{func(c *Config) { c.CoopDegree = -1 }, ""},
+		{func(c *Config) { c.Builder = "mystery" }, ""},
+		{func(c *Config) { c.Protocol = "mystery" }, ""},
+		{func(c *Config) { c.Preference = "P3" }, ""},
+		// Sharding is exact only while items stay independent; every
+		// layer that couples them is rejected by name.
+		{func(c *Config) { c.Shards = 2; c.Queueing = true }, "Queueing"},
+		{func(c *Config) { c.Shards = 2; c.Faults = "churn:2" }, "Faults"},
+		{func(c *Config) { c.Shards = 2; c.Durability.Dir = "wal" }, "Durability"},
+		{func(c *Config) { c.Shards = 2; c.Clients = 10 }, "Clients"},
+		{func(c *Config) { c.Shards = 2; c.VirtualSessions = 10 }, "VirtualSessions"},
+		{func(c *Config) { c.Shards = 2; c.Queries = []string{"avg(ITEM000,ITEM001)@0.1"} }, "Queries"},
+	} {
 		cfg := Default()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad config %d: Validate() = %v, want an error containing %q", i, err, tc.want)
 		}
 	}
 	if err := Default().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	sharded := Default()
+	sharded.Shards, sharded.BatchTicks = 8, 5
+	if err := sharded.Validate(); err != nil {
+		t.Errorf("sharded, batched plain config rejected: %v", err)
 	}
 }
 

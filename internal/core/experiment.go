@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"d3t/internal/dissemination"
-	"d3t/internal/ingest"
 	"d3t/internal/netsim"
 	"d3t/internal/obs"
 	"d3t/internal/repository"
@@ -50,11 +49,9 @@ type Outcome struct {
 	// eval/recompute counters and per-placement message costs; nil when
 	// the run had Queries disabled.
 	Queries *serve.QueryStats
-	// Ingest carries the sharded/batched ingest pipeline's throughput and
-	// coalescing stats; nil when the run used the plain sequential path
-	// (Shards <= 1 and BatchTicks <= 1, or a run the ingest layer does
-	// not apply to).
-	Ingest *ingest.Stats
+	// Coalesced counts the value changes Config.BatchTicks folded into a
+	// newer value of the same item before the run (0 with batching off).
+	Coalesced uint64
 	// Obs is the observability tree's snapshot at the run's horizon; nil
 	// when the run had Config.Obs unset.
 	Obs *obs.TreeSnapshot
@@ -90,6 +87,11 @@ func RunExperiment(cfg Config) (*Outcome, error) {
 // shared across concurrent calls; everything mutable (repositories, the
 // overlay, trackers) is created here, per run.
 func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (*Outcome, error) {
+	// Batching is preprocessing: from here on every layer — the serving
+	// fleet's seed, the fault layer's initial values, the trackers — sees
+	// the one coalesced feed.
+	traces, coalesced := trace.CoalesceTraces(traces, cfg.BatchTicks)
+
 	// With a serving population configured — named clients, synthetic
 	// sessions, derived-data queries, in any combination — repository
 	// needs come from the placed sessions (Section 1.2) instead of the
@@ -203,9 +205,12 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		return nil, err
 	}
 
-	protocol, err := cfg.protocol()
-	if err != nil {
+	if _, err := cfg.protocol(); err != nil {
 		return nil, err
+	}
+	newProtocol := func() dissemination.Protocol {
+		p, _ := cfg.protocol() // resolved above
+		return p
 	}
 	pushCfg := dissemination.Config{
 		CompDelay: cfg.compDelay(),
@@ -229,33 +234,17 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 	}
 	var res *dissemination.Result
 	var resStats *resilience.Stats
-	var ingestStats *ingest.Stats
-	if cfg.IngestEnabled() {
-		// The sharded/batched ingest runner: coalesce the trace set,
-		// partition the items across parallel sub-simulations, merge. The
-		// plain path below stays untouched so Shards <= 1 && BatchTicks
-		// <= 1 remains byte-identical to it.
-		res, ingestStats, _, err = ingest.RunSim(overlay, traces, func() dissemination.Protocol {
-			p, perr := cfg.protocol()
-			if perr != nil {
-				panic(perr) // cfg.Validate() vetted the name above
-			}
-			return p
-		}, pushCfg, cfg.ingestConfig())
-		if err != nil {
-			return nil, err
-		}
-	} else if cfg.FaultsEnabled() || !scenFaults.Empty() || cfg.Durability.Enabled() {
-		// The same loop with the resilience layer attached: fault
-		// injection, heartbeats, detection, backup-parent repair and
-		// write-ahead logs. The serving fleet registered on pushCfg sees
-		// the crashes and rejoins too.
+	if cfg.FaultsEnabled() || !scenFaults.Empty() || cfg.Durability.Enabled() {
+		// The loop with the resilience layer attached: fault injection,
+		// heartbeats, detection, backup-parent repair and write-ahead
+		// logs. The serving fleet registered on pushCfg sees the crashes
+		// and rejoins too.
 		plan, err := cfg.faultPlan()
 		if err != nil {
 			return nil, err
 		}
 		lela, _ := builder.(*tree.LeLA) // non-LeLA builders repair with defaults
-		rr, err := resilience.Run(overlay, lela, traces, protocol, resilience.Config{
+		rr, err := resilience.Run(overlay, lela, traces, newProtocol(), resilience.Config{
 			Push:       pushCfg,
 			DetectK:    cfg.DetectTicks,
 			Durability: cfg.Durability.walOptions(),
@@ -265,7 +254,9 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		}
 		res, resStats = rr.Result, &rr.Resilience
 	} else {
-		res, err = dissemination.Run(overlay, traces, protocol, pushCfg)
+		// The loop alone, once per item shard (Validate kept every layer
+		// that couples items out of a sharded run).
+		res, _, err = dissemination.RunShards(overlay, traces, newProtocol, pushCfg, cfg.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +272,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		Stats:             res.Stats,
 		SourceUtilization: res.SourceUtilization,
 		Resilience:        resStats,
-		Ingest:            ingestStats,
+		Coalesced:         coalesced,
 	}
 	if fleet != nil {
 		st := fleet.Finalize(res.Horizon)

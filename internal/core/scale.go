@@ -42,10 +42,8 @@ type Scale struct {
 	// query and vserve figures override the population per point.
 	VirtualSessions int
 	Scenario        string
-	// Shards and BatchTicks apply the ingest pipeline's sharding and
-	// coalescing to every sweep point (plain runs only; see
-	// Config.Shards).
-	Shards     int
+	// BatchTicks applies trace coalescing to every sweep point (see
+	// Config.BatchTicks).
 	BatchTicks int
 	// Durability applies per-repository durable state (WAL + snapshots)
 	// to every sweep point; the res-recovery-disk figure overrides the
@@ -116,7 +114,6 @@ func (s Scale) base() Config {
 	cfg.Queries = s.Queries
 	cfg.VirtualSessions = s.VirtualSessions
 	cfg.Scenario = s.Scenario
-	cfg.Shards = s.Shards
 	cfg.BatchTicks = s.BatchTicks
 	cfg.Durability = s.Durability
 	if s.ObsTree != nil {

@@ -24,7 +24,6 @@ type Distributed struct {
 	overlay *tree.Overlay
 	cores   []*node.Core // indexed by overlay id
 	col     collector
-	bcol    batchCollector
 }
 
 // collector is the simulator-side Transport: it accumulates dependent
@@ -82,60 +81,6 @@ func (d *Distributed) SetObs(t *obs.Tree) {
 		c.SetObs(t.Node(c.ID()))
 	}
 }
-
-// Update is one (item, value) pair of a multi-update batch — the unit the
-// sharded ingest pipeline moves between nodes.
-type Update struct {
-	Item  string
-	Value float64
-}
-
-// ItemForward is one forwarded copy of a batched step: the dependent it
-// goes to plus the item and value it carries (a plain Forward cannot name
-// them, because a batch spans items).
-type ItemForward struct {
-	To    repository.ID
-	Item  string
-	Value float64
-}
-
-// ApplyBatch is the batched step of the distributed algorithm: it
-// coalesces same-item updates within the batch into the newest value (an
-// intermediate value superseded inside one batch window is never
-// disseminated — the whole point of batching), applies each surviving
-// update through the node's core in batch order, and returns every
-// resulting forward in one pass, tagged with its item. The returned slice
-// and the number of filter checks follow the AtRepo conventions: the
-// slice is reused across calls and must be consumed before the next one.
-func (d *Distributed) ApplyBatch(id repository.ID, batch []Update) ([]ItemForward, int) {
-	d.bcol.buf = d.bcol.buf[:0]
-	checks := 0
-	core := d.cores[id]
-	for _, i := range node.CoalesceBatch(len(batch), func(i int) string { return batch[i].Item }) {
-		u := &batch[i]
-		d.bcol.item, d.bcol.value = u.Item, u.Value
-		_, n := core.Apply(u.Item, u.Value, &d.bcol)
-		checks += n
-	}
-	return d.bcol.buf, checks
-}
-
-// batchCollector is the Transport of ApplyBatch: it remembers which item
-// is being applied so the collected forwards carry it.
-type batchCollector struct {
-	buf   []ItemForward
-	item  string
-	value float64
-}
-
-func (c *batchCollector) Now() sim.Time { return 0 }
-
-func (c *batchCollector) SendToDependent(dep repository.ID, item string, v float64, resync bool) bool {
-	c.buf = append(c.buf, ItemForward{To: dep, Item: c.item, Value: c.value})
-	return true
-}
-
-func (c *batchCollector) SendToClient(s *node.Session, item string, v float64, resync bool) {}
 
 // ResetEdge re-seeds the per-edge filter state for item x after overlay
 // repair re-homes a dependent: the last value "sent" over the (possibly

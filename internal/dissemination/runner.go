@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 
 	"d3t/internal/coherency"
+	"d3t/internal/node"
 	"d3t/internal/obs"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
@@ -38,15 +40,6 @@ type Config struct {
 	// deliveries — the client-serving layer hangs sessions off it. A nil
 	// observer leaves the run byte-identical to one without the field.
 	Observer Observer
-	// ItemFilter, when set, restricts the run to the items it accepts:
-	// only their source ticks are scheduled and only their fidelity is
-	// tracked, while the full trace set still supplies initial values and
-	// the observation horizon. The sharded ingest runner uses it to give
-	// each shard the same overlay and time base but a disjoint item
-	// partition; per-item independence (each item's dissemination tree and
-	// filter state never touches another's) is what makes the partition
-	// exact. A nil filter accepts everything.
-	ItemFilter func(item string) bool
 	// Obs, when set, attaches the observability layer: per-node counters
 	// (through the protocol's node cores, where it has them), per-hop and
 	// source→node latency histograms, per-edge delay EWMAs,
@@ -54,6 +47,13 @@ type Config struct {
 	// sampled update traces. Observation is passive: a run with Obs set
 	// produces byte-identical results to one without.
 	Obs *obs.Tree
+
+	// accepts, when set, restricts the run to the items it admits: only
+	// their source ticks are scheduled and only their fidelity is tracked,
+	// while the full trace set still supplies initial values and the
+	// observation horizon. RunShards gives each shard its own partition
+	// through it; nil accepts everything.
+	accepts func(item string) bool
 }
 
 // Observer receives the run's observable events in simulation order. The
@@ -314,7 +314,7 @@ type Loop struct {
 // the engine otherwise).
 func NewLoop(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Loop, error) {
 	cfg.CompDelay = defaultCompDelay(cfg.CompDelay)
-	f, err := newFrame(o, traces, cfg.ItemFilter, cfg.Obs)
+	f, err := newFrame(o, traces, cfg.accepts, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -356,6 +356,70 @@ func Run(o *tree.Overlay, traces []*trace.Trace, p Protocol, cfg Config) (*Resul
 		return nil, err
 	}
 	return l.Run(nil), nil
+}
+
+// RunShards is Run with the items hash-partitioned (node.ShardOf) across
+// parallel runs, each over the full overlay and time base but its own
+// item partition, merged into one result. The paper's dissemination is
+// strictly per item — an item's tree, edge filter state and trackers
+// touch no other item's — so in the latency model the partition is
+// exact: every per-(repository, item) fidelity, delivery time and filter
+// decision equals Run's, and the merged aggregates differ from it by at
+// most floating-point summation order. With shards <= 1 it is Run.
+//
+// newProtocol builds one protocol per shard (a protocol holds per-run
+// state); the instances are returned for decision-level instrumentation.
+// There are never more shards than traces, so a shard count from user
+// input cannot start more runs than there are items. The queueing model
+// shares each node's serial station across items and an observer sees
+// events in global time order, so more than one shard rejects both.
+func RunShards(o *tree.Overlay, traces []*trace.Trace, newProtocol func() Protocol, cfg Config, shards int) (*Result, []Protocol, error) {
+	if shards = min(shards, len(traces)); shards <= 1 {
+		p := newProtocol()
+		res, err := Run(o, traces, p, cfg)
+		return res, []Protocol{p}, err
+	}
+	if cfg.Queueing {
+		return nil, nil, fmt.Errorf("dissemination: the queueing node model couples items through shared stations and cannot be sharded")
+	}
+	if cfg.Observer != nil {
+		return nil, nil, fmt.Errorf("dissemination: run observers see events in global time order and cannot be sharded")
+	}
+	protos := make([]Protocol, shards)
+	results := make([]*Result, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := range protos {
+		protos[s] = newProtocol()
+		scfg := cfg
+		scfg.accepts = func(item string) bool { return node.ShardOf(item, shards) == s }
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[s], errs[s] = Run(o, traces, protos[s], scfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	merged := &Result{Protocol: protos[0].Name(), Report: coherency.NewReport()}
+	for _, r := range results {
+		merged.Report.Merge(r.Report)
+		merged.Stats.Messages += r.Stats.Messages
+		merged.Stats.SourceChecks += r.Stats.SourceChecks
+		merged.Stats.RepoChecks += r.Stats.RepoChecks
+		merged.Stats.Deliveries += r.Stats.Deliveries
+		merged.Stats.SourceTicks += r.Stats.SourceTicks
+		merged.Stats.Events += r.Stats.Events
+		merged.Horizon = max(merged.Horizon, r.Horizon)
+		// Every shard's horizon derives from the full trace set, so the
+		// source's busy fractions add.
+		merged.SourceUtilization += r.SourceUtilization
+	}
+	return merged, protos, nil
 }
 
 // handle is the engine's one handler: it dispatches a typed event by

@@ -11,10 +11,10 @@
 // package is the channel transport around it: goroutines, inbox/outbox
 // channels, real-time heartbeats and silence watchdogs.
 //
-// # Sharded batched ingest
+// # Sharding and batches
 //
-// With Options.Shards > 1 the cluster re-seats on the ingest layer's
-// item partition (internal/ingest.ShardOf): every node splits into one
+// With Options.Shards > 1 the cluster re-seats on the one item
+// partition (internal/node.ShardOf): every node splits into one
 // core per shard, each fed by its own batch channel and drained by its
 // own worker goroutine, so independent items flow through a node in
 // parallel. Edges carry batches — one channel send moves every update a
@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"d3t/internal/ingest"
 	dnode "d3t/internal/node"
 	"d3t/internal/obs"
 	"d3t/internal/query"
@@ -273,7 +272,7 @@ func (n *node) sessionCore() (*sync.Mutex, *dnode.Core) {
 
 // shardOf returns the shard owning the item.
 func (n *node) shardOf(item string) *nodeShard {
-	return n.shards[ingest.ShardOf(item, len(n.shards))]
+	return n.shards[dnode.ShardOf(item, len(n.shards))]
 }
 
 // pendSend is one collected dependent copy awaiting the post-lock flush.
@@ -599,7 +598,7 @@ func (c *Cluster) PublishBatch(ups []Update) bool {
 	src := c.nodes[repository.SourceID]
 	perShard := make([][]upd, len(src.shards))
 	for _, i := range dnode.CoalesceBatch(len(ups), func(i int) string { return ups[i].Item }) {
-		s := ingest.ShardOf(ups[i].Item, len(src.shards))
+		s := dnode.ShardOf(ups[i].Item, len(src.shards))
 		perShard[s] = append(perShard[s], upd{ups[i].Item, ups[i].Value})
 	}
 	for s, b := range perShard {

@@ -504,6 +504,22 @@ type Decisions struct {
 	Suppressed uint64
 }
 
+// ShardOf maps an item to its shard: FNV-1a over the item name, mod the
+// shard count. Every layer that partitions items — the sharded simulator
+// (dissemination.RunShards), live's per-shard cores — uses this one
+// mapping, so a batch produced by a parent shard lands in the same shard
+// at the child.
+func ShardOf(item string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	h := uint32(2166136261)
+	for i := 0; i < len(item); i++ {
+		h = (h ^ uint32(item[i])) * 16777619
+	}
+	return int(h % uint32(shards))
+}
+
 // CoalesceBatch is the one statement of the in-batch coalescing rule
 // every batched transport shares: within a multi-update batch, only an
 // item's newest (last) occurrence is applied — a value superseded inside
@@ -511,9 +527,9 @@ type Decisions struct {
 // in ascending batch position. itemAt indexes the batch's item names.
 //
 // Stating the rule once matters for the same reason the first-push rule
-// is stated once in this package: three transports re-deriving "last
-// value wins" independently is exactly the kind of drift the
-// cross-backend parity test exists to catch.
+// is stated once in this package: two transports re-deriving "last value
+// wins" independently is exactly the kind of drift the cross-backend
+// parity test exists to catch.
 func CoalesceBatch(n int, itemAt func(int) string) []int {
 	out := make([]int, 0, n)
 	if n > 16 {

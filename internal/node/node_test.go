@@ -365,3 +365,29 @@ func TestEdgeDecisions(t *testing.T) {
 		t.Fatalf("decisions = %+v, want 1 forwarded, 2 suppressed", d)
 	}
 }
+
+func TestShardOf(t *testing.T) {
+	if got := ShardOf("anything", 1); got != 0 {
+		t.Fatalf("ShardOf(_, 1) = %d, want 0", got)
+	}
+	if got := ShardOf("anything", 0); got != 0 {
+		t.Fatalf("ShardOf(_, 0) = %d, want 0", got)
+	}
+	// Stable and in range.
+	for _, shards := range []int{2, 4, 8} {
+		seen := make(map[int]bool)
+		for _, item := range []string{"I0", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9"} {
+			s := ShardOf(item, shards)
+			if s < 0 || s >= shards {
+				t.Fatalf("ShardOf(%q, %d) = %d out of range", item, shards, s)
+			}
+			if s != ShardOf(item, shards) {
+				t.Fatalf("ShardOf(%q, %d) unstable", item, shards)
+			}
+			seen[s] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("ShardOf over 10 items used %d of %d shards; the hash does not spread", len(seen), shards)
+		}
+	}
+}

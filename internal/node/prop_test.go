@@ -6,22 +6,24 @@
 // suppression the core decides matches a straightforward shadow model
 // that re-derives the decision from the raw equations and its own
 // last-pushed bookkeeping, so a suppressed push is always justified.
-// Finally the same feed runs through the ingest pipeline at Shards=1 and
-// Shards=8, which must produce identical forward/suppress decision sets
-// (and the same set the model-checked run produced).
+// Finally the same feed runs through the simulator at zero computational
+// delay with 1 and 8 item shards (dissemination.RunShards), which must
+// produce identical forward/suppress decision sets (and the same set the
+// model-checked run produced).
 //
 // The test lives in package node_test so it can drive the core through
-// the ingest pipeline without an import cycle.
+// the simulator without an import cycle.
 package node_test
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"d3t/internal/coherency"
-	"d3t/internal/ingest"
+	"d3t/internal/dissemination"
 	"d3t/internal/netsim"
 	"d3t/internal/node"
 	"d3t/internal/query"
@@ -249,9 +251,12 @@ func runPropScenario(t *testing.T, sc propScenario) {
 		}
 	}
 
-	// Decision-set parity: the model-checked cores, the single-shard
-	// pipeline and the 8-shard pipeline must have made exactly the same
-	// forward/suppress decisions per (repository, item).
+	// Decision-set parity: the model-checked cores and the simulator at 1
+	// and 8 shards must have made exactly the same forward/suppress
+	// decisions per (repository, item). The simulator observes until the
+	// last trace tick; one quiet tick a second later lets the copies of the
+	// final updates land inside the horizon, as the synchronous run above
+	// delivered them.
 	direct := make(map[string]node.Decisions)
 	for _, n := range o.Nodes {
 		for item, d := range cores[n.ID].EdgeDecisions() {
@@ -261,14 +266,23 @@ func runPropScenario(t *testing.T, sc propScenario) {
 	if len(direct) == 0 {
 		t.Fatal("no decisions made; the scenario is vacuous")
 	}
+	fed := make([]*trace.Trace, len(traces))
+	for i, tc := range traces {
+		end := tc.Ticks[tc.Len()-1]
+		fed[i] = &trace.Trace{Item: tc.Item, Ticks: append(slices.Clip(tc.Ticks), trace.Tick{At: end.At + sim.Second, Value: end.Value})}
+	}
+	newProtocol := func() dissemination.Protocol { return dissemination.NewDistributed() }
 	for _, shards := range []int{1, 8} {
-		p := ingest.NewPipeline(o, initial, ingest.Config{Shards: shards})
-		feedTraces(p, traces)
-		p.Close()
+		_, protos, err := dissemination.RunShards(o, fed, newProtocol, dissemination.Config{CompDelay: -1}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := make(map[string]node.Decisions)
-		for id, items := range p.Decisions() {
-			for item, d := range items {
-				got[id.String()+"/"+item] = d
+		for _, p := range protos {
+			for _, n := range o.Nodes {
+				for item, d := range p.(*dissemination.Distributed).Core(n.ID).EdgeDecisions() {
+					got[n.ID.String()+"/"+item] = d
+				}
 			}
 		}
 		if len(got) != len(direct) {
@@ -434,28 +448,5 @@ func runQueryToleranceScenario(t *testing.T, q query.Query, rng *rand.Rand) {
 	if trueEval.Evals() != wantDeliveries || trueEval.Recomputes() != wantRecomputes {
 		t.Errorf("counts: evals=%d recomputes=%d, want %d/%d (every delivery recomputes once all inputs are present)",
 			trueEval.Evals(), trueEval.Recomputes(), wantDeliveries, wantRecomputes)
-	}
-}
-
-// feedTraces pushes every value-changing tick through the pipeline in
-// tick order.
-func feedTraces(p *ingest.Pipeline, traces []*trace.Trace) {
-	last := make(map[string]float64, len(traces))
-	maxTicks := 0
-	for _, tc := range traces {
-		last[tc.Item] = tc.Ticks[0].Value
-		if tc.Len() > maxTicks {
-			maxTicks = tc.Len()
-		}
-	}
-	for i := 1; i < maxTicks; i++ {
-		for _, tc := range traces {
-			if i >= tc.Len() || tc.Ticks[i].Value == last[tc.Item] {
-				continue
-			}
-			last[tc.Item] = tc.Ticks[i].Value
-			p.Offer(tc.Item, tc.Ticks[i].Value)
-		}
-		p.Tick()
 	}
 }

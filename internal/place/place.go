@@ -286,7 +286,7 @@ func (ix *Index) Builds() int { return ix.builds }
 func (ix *Index) Walked() int { return ix.walked }
 
 // Key hashes a session name onto the overflow ring (FNV-1a) — the same
-// hash family the ingest layer shards items with.
+// hash family node.ShardOf shards items with.
 func Key(name string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkWALAppend measures the group-commit hot path: 16 buffered
 // appends and one commit, fsync disabled so the number is the encode +
-// buffered-write cost the ingest window actually pays.
+// buffered-write cost a batch actually pays.
 func BenchmarkWALAppend(b *testing.B) {
 	l, _, err := Open(b.TempDir(), Options{SnapshotEvery: 1 << 30, Fsync: PolicyNever})
 	if err != nil {

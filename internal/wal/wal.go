@@ -3,7 +3,7 @@
 // exact pre-crash per-item values and edge filter state instead of
 // rejoining cold and serving nothing until the next source push.
 //
-// The write path rides the ingest layer's batch boundary: every update a
+// The write path rides the transport's batch boundary: every update a
 // node applies is a buffered Append, and the batch's end is one Commit —
 // one log record, one buffered write, and (under the default policy) one
 // fsync per *batch*, never one per update. Every SnapshotEvery commits
@@ -68,7 +68,7 @@ const (
 	// commits are OS-buffered, bounded data loss on power failure.
 	PolicyBatch = "batch"
 	// PolicyAlways fsyncs once per committed batch — the group commit:
-	// one fsync per ingest window, never one per update.
+	// one fsync per batch, never one per update.
 	PolicyAlways = "always"
 	// PolicyNever never fsyncs (tests, figures, throwaway dirs).
 	PolicyNever = "never"
@@ -284,7 +284,7 @@ func (l *Log) Append(item string, v float64) {
 }
 
 // Commit writes the buffered batch as one record — the group commit on
-// the ingest batch boundary — and rotates the snapshot when due. state
+// the batch boundary — and rotates the snapshot when due. state
 // is called only when a rotation happens, and must return the caller's
 // full current state (the core's values and edge filter state). An empty
 // batch commits to nothing.

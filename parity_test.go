@@ -14,11 +14,11 @@ package d3t
 // exactly. A divergence means a transport grew its own filter semantics
 // again, which is precisely the drift this test exists to catch.
 //
-// The sweep extends the guarantee across the ingest layer: sharding
-// (items partitioned across parallel workers/sub-simulations) must not
-// change a single decision, and batching (window coalescing) must change
-// them identically everywhere, because every backend feeds from the same
-// coalesced schedule (ingest.CoalesceTraces).
+// The sweep extends the guarantee across sharding and batching: sharding
+// (items partitioned across parallel sub-simulations and live's per-shard
+// cores) must not change a single decision, and batching (window
+// coalescing) must change them identically everywhere, because every
+// backend feeds from the same coalesced schedule (trace.CoalesceTraces).
 
 import (
 	"fmt"
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"d3t/internal/dissemination"
-	"d3t/internal/ingest"
 	"d3t/internal/netio"
 	"d3t/internal/netsim"
 	"d3t/internal/node"
@@ -180,7 +179,7 @@ func diffDecisions(t *testing.T, backend string, want, got map[string]node.Decis
 	}
 }
 
-// TestCrossBackendParity sweeps the ingest configuration over
+// TestCrossBackendParity sweeps the sharding and batching over
 // {Shards: 1, 4} x {BatchTicks: 0, 5} and, for every combination, runs
 // the same configuration through sim, live and netio, requiring
 // identical per-(repo, item) decision counts across all three.
@@ -261,11 +260,8 @@ func TestCrossBackendQueryParity(t *testing.T) {
 		t.Fatalf("sim query saw only the %d resync deliveries (cq=%v too loose); the parity case is vacuous", wantEvals, cq)
 	}
 
-	// Every concurrent backend replays the identical coalesced schedule.
-	icfg := ingest.Config{Shards: 1, BatchTicks: 0}
-	_, freshTraces, _ := parityWorld(t)
-	coalesced, _ := ingest.CoalesceTraces(freshTraces, icfg.Window())
-	feed := tickFeed(coalesced)
+	// Every concurrent backend replays the identical schedule.
+	feed := tickFeed(traces)
 	waitCounts := func(get func() (uint64, uint64)) (uint64, uint64) {
 		deadline := time.Now().Add(20 * time.Second)
 		for {
@@ -334,13 +330,15 @@ func TestCrossBackendQueryParity(t *testing.T) {
 }
 
 func parityCase(t *testing.T, shards, batch int) {
-	icfg := ingest.Config{Shards: shards, BatchTicks: batch}
+	// Every backend replays the identical coalesced schedule.
+	o, traces, initial := parityWorld(t)
+	coalesced, _ := trace.CoalesceTraces(traces, batch)
+	feed := tickFeed(coalesced)
 
-	// --- Simulator (sharded ingest runner): the reference decisions. ---
-	o, traces, _ := parityWorld(t)
-	res, _, protos, err := ingest.RunSim(o, traces,
+	// --- Simulator (item-sharded runs): the reference decisions. ---
+	res, protos, err := dissemination.RunShards(o, coalesced,
 		func() dissemination.Protocol { return dissemination.NewDistributed() },
-		dissemination.Config{}, icfg)
+		dissemination.Config{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +349,6 @@ func parityCase(t *testing.T, shards, batch int) {
 	if len(want) == 0 {
 		t.Fatal("simulator produced no decisions; the parity test is vacuous")
 	}
-
-	// Every concurrent backend replays the identical coalesced schedule.
-	_, freshTraces, initial := parityWorld(t)
-	coalesced, _ := ingest.CoalesceTraces(freshTraces, icfg.Window())
-	feed := tickFeed(coalesced)
 
 	// --- Goroutine cluster, sharded per the same item partition. ---
 	o2, _, _ := parityWorld(t)
