@@ -20,16 +20,14 @@ import (
 // benchScale is small enough for repeated runs yet preserves every
 // qualitative shape.
 func benchScale() core.Scale {
+	base := core.Default()
+	base.Repositories, base.Routers, base.Items, base.Ticks = 20, 60, 15, 400
 	return core.Scale{
-		Repositories: 20,
-		Routers:      60,
-		Items:        15,
-		Ticks:        400,
-		CoopGrid:     []int{1, 4, 10, 20},
-		TValues:      []float64{0, 100},
-		CommGridMs:   []float64{1, 125},
-		CompGridMs:   []float64{-1, 25},
-		Seed:         1,
+		Base:       base,
+		CoopGrid:   []int{1, 4, 10, 20},
+		TValues:    []float64{0, 100},
+		CommGridMs: []float64{1, 125},
+		CompGridMs: []float64{-1, 25},
 	}
 }
 

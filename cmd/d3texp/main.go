@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,64 +22,92 @@ import (
 
 	"d3t/internal/core"
 	"d3t/internal/obs"
-	"d3t/internal/query"
 	"d3t/internal/trace"
 )
 
-// querySpecs collects the repeatable -query flag.
-type querySpecs []string
+// options are d3texp's settings that are not part of the sweep's Scale.
+type options struct {
+	fig, scale                         string
+	list, timings, csv, verbose, quiet bool
+	obsInterval                        time.Duration
+}
 
-func (q *querySpecs) String() string     { return fmt.Sprint([]string(*q)) }
-func (q *querySpecs) Set(s string) error { *q = append(*q, s); return nil }
+// parseArgs parses the command line (without the program name) into the
+// sweep's validated Scale and the command's own options. The shared
+// Config flags set the base case of every sweep point; sizing flags left
+// unset keep the -scale preset's values, and -repos n also sizes the
+// network to 6n routers. With -list nothing is validated.
+func parseArgs(args []string) (core.Scale, options, error) {
+	s := core.SmallScale()
+	var o options
+	fs := newFlagSet(&s, &o)
+	if err := fs.Parse(args); err != nil || o.list {
+		return s, o, err
+	}
+
+	var preset core.Scale
+	switch o.scale {
+	case "small":
+		preset = core.SmallScale()
+	case "paper":
+		preset = core.PaperScale()
+	default:
+		return s, o, fmt.Errorf("unknown scale %q (want small or paper)", o.scale)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	b, p := &s.Base, preset.Base
+	if set["repos"] {
+		b.Routers = 6 * b.Repositories
+	} else {
+		b.Repositories, b.Routers = p.Repositories, p.Routers
+	}
+	if !set["items"] {
+		b.Items = p.Items
+	}
+	if !set["ticks"] {
+		b.Ticks = p.Ticks
+	}
+	if !set["seed"] {
+		b.Seed = p.Seed
+	}
+	s.CoopGrid, s.TValues, s.CommGridMs, s.CompGridMs = preset.CoopGrid, preset.TValues, preset.CommGridMs, preset.CompGridMs
+
+	if _, ok := core.Figures()[o.fig]; !ok && o.fig != "all" {
+		return s, o, fmt.Errorf("unknown figure %q; use -list", o.fig)
+	}
+	return s, o, s.Base.Validate()
+}
+
+// newFlagSet binds d3texp's flags: the shared Config flags, bound onto
+// the sweep's base case, and its own.
+func newFlagSet(s *core.Scale, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("d3texp", flag.ContinueOnError)
+	core.BindFlags(fs, &s.Base)
+	fs.StringVar(&o.fig, "fig", "all", "figure id to regenerate, or 'all'")
+	fs.StringVar(&o.scale, "scale", "small", "experiment scale: 'small' or 'paper'")
+	fs.BoolVar(&o.list, "list", false, "list available figure ids and workloads, then exit")
+	fs.IntVar(&s.Workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.verbose, "v", false, "debug logging on stderr (per-point sweep progress, cache stats)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress informational logging")
+	fs.DurationVar(&o.obsInterval, "obs-interval", 0, "period between aggregate obs summary lines on stderr while sweeps run")
+	fs.BoolVar(&o.timings, "time", false, "print elapsed time per figure")
+	fs.BoolVar(&o.csv, "csv", false, "emit machine-readable CSV instead of tables")
+	return fs
+}
 
 func main() {
-	var queries querySpecs
-	var (
-		fig      = flag.String("fig", "all", "figure id to regenerate, or 'all'")
-		scale    = flag.String("scale", "small", "experiment scale: 'small' or 'paper'")
-		list     = flag.Bool("list", false, "list available figure ids and workloads, then exit")
-		seed     = flag.Int64("seed", 0, "override the experiment seed (0 keeps the preset)")
-		repos    = flag.Int("repos", 0, "override the repository count")
-		items    = flag.Int("items", 0, "override the item count")
-		ticks    = flag.Int("ticks", 0, "override the trace length")
-		workload = flag.String("workload", "", "trace workload family (default stocks); see -list")
-		wpath    = flag.String("workload-path", "", "trace CSV file for -workload=csv")
-		faults   = flag.String("faults", "", "failure injection applied to every sweep point (resilience figures override it)")
-		walDir   = flag.String("durability-dir", "", "write-ahead log directory applied to every sweep point; kill: faults then recover from disk (res-recovery-disk overrides it per point)")
-		snapEv   = flag.Int("snapshot-every", 0, "commits between WAL snapshot rotations (0 = default 256)")
-		fsync    = flag.String("fsync", "", "WAL fsync policy: batch (default), always, never")
-		clients  = flag.Int("clients", 0, "client sessions applied to every sweep point (client figures override the population)")
-		itemsPC  = flag.Int("items-per-client", 0, "mean watch-list size per client (default 3)")
-		cap      = flag.Int("session-cap", 0, "sessions per repository before overflow redirects (0 = unlimited)")
-		virtual  = flag.Int("virtual-sessions", 0, "virtual sessions applied to every sweep point (the client/query/vserve figures override the population)")
-		scenario = flag.String("scenario", "", "scenario over the virtual population applied to every sweep point, e.g. flash:at=0.3,frac=0.5")
-		batch    = flag.Int("batch", 0, "coalescing window in ticks applied to every sweep point (<=1 = off)")
-		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "debug logging on stderr (per-point sweep progress, cache stats)")
-		quiet    = flag.Bool("quiet", false, "suppress informational logging")
-		obsIv    = flag.Duration("obs-interval", 0, "period between aggregate obs summary lines on stderr while sweeps run")
-		timings  = flag.Bool("time", false, "print elapsed time per figure")
-		asCSV    = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-	)
-	flag.Var(&queries, "query", "derived-data query spec applied to every sweep point, repeatable (the query figures override it per point) — e.g. 'avg(w=5;ITEM000,ITEM001)@0.05'")
-	flag.Parse()
-	if len(queries) > 0 {
-		if _, err := query.ParseList(queries); err != nil {
-			fmt.Fprintf(os.Stderr, "d3texp: %v\n", err)
-			os.Exit(2)
-		}
+	s, o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "d3texp: %v\n", err)
+		os.Exit(2)
+	}
+	logger := obs.NewLogger(os.Stderr, obs.CommandLevel(o.verbose, o.quiet))
 
-	level := obs.LevelInfo
-	if *verbose {
-		level = obs.LevelDebug
-	}
-	if *quiet {
-		level = obs.LevelQuiet
-	}
-	logger := obs.NewLogger(os.Stderr, level)
-
-	if *list {
+	if o.list {
 		fmt.Println("figures:")
 		for _, id := range core.FigureIDs() {
 			fmt.Printf("  %s\n", id)
@@ -91,94 +120,26 @@ func main() {
 		return
 	}
 
-	var s core.Scale
-	switch *scale {
-	case "small":
-		s = core.SmallScale()
-	case "paper":
-		s = core.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "d3texp: unknown scale %q (want small or paper)\n", *scale)
-		os.Exit(2)
-	}
-	if *seed != 0 {
-		s.Seed = *seed
-	}
-	if *repos > 0 {
-		s.Repositories = *repos
-		s.Routers = 6 * *repos
-	}
-	if *items > 0 {
-		s.Items = *items
-	}
-	if *ticks > 0 {
-		s.Ticks = *ticks
-	}
-	if _, err := trace.LookupWorkload(*workload); err != nil {
-		fmt.Fprintf(os.Stderr, "d3texp: %v\n", err)
-		os.Exit(2)
-	}
-	if *workload == "csv" && *wpath == "" {
-		fmt.Fprintln(os.Stderr, "d3texp: -workload=csv needs -workload-path")
-		os.Exit(2)
-	}
-	s.Workload = *workload
-	s.WorkloadPath = *wpath
-	s.Faults = *faults
-	s.Durability = core.DurabilityConfig{Dir: *walDir, SnapshotEvery: *snapEv, Fsync: *fsync}
-	s.Clients = *clients
-	s.ItemsPerClient = *itemsPC
-	s.SessionCap = *cap
-	s.BatchTicks = *batch
-	s.Queries = queries
-	s.VirtualSessions = *virtual
-	s.Scenario = *scenario
-	if *scenario != "" {
-		if _, err := trace.ParseScenario(*scenario); err != nil {
-			fmt.Fprintf(os.Stderr, "d3texp: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	// One runner for every figure: its network/trace caches carry across
 	// figures (most share the base-case substrates), and its worker pool
 	// bounds the whole run.
-	runner := core.NewRunner(*workers)
+	runner := core.NewRunner(s.Workers)
 	runner.Log = logger
 	s.Runner = runner
 
 	start := time.Now()
-	if *obsIv > 0 {
+	if o.obsInterval > 0 {
 		// A single shared tree aggregates every sweep point in flight; the
 		// ticker reports the rolled-up view. (The obs-* figures still use
 		// their own per-point trees.)
 		s.ObsTree = obs.NewTree()
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			tick := time.NewTicker(*obsIv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					logger.Infof("%s", s.ObsTree.Summary(time.Since(start).Microseconds()))
-				}
-			}
-		}()
 	}
+	defer obs.LogEvery(logger, s.ObsTree, o.obsInterval, start)()
 
 	registry := core.Figures()
-	var ids []string
-	if *fig == "all" {
+	ids := []string{o.fig}
+	if o.fig == "all" {
 		ids = core.FigureIDs()
-	} else {
-		if _, ok := registry[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "d3texp: unknown figure %q; use -list\n", *fig)
-			os.Exit(2)
-		}
-		ids = []string{*fig}
 	}
 
 	for _, id := range ids {
@@ -190,14 +151,14 @@ func main() {
 			os.Exit(1)
 		}
 		emit := result.Fprint
-		if *asCSV {
+		if o.csv {
 			emit = result.WriteCSV
 		}
 		if err := emit(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "d3texp: printing %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if *timings {
+		if o.timings {
 			fmt.Printf("(%s took %v)\n\n", id, time.Since(figStart).Round(time.Millisecond))
 		}
 	}

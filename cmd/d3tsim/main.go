@@ -10,105 +10,74 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"d3t/internal/core"
 	"d3t/internal/obs"
-	"d3t/internal/trace"
 )
 
-// querySpecs collects the repeatable -query flag.
-type querySpecs []string
+// options are d3tsim's settings that are not part of the run's Config.
+type options struct {
+	verbose, quiet, obs bool
+	obsInterval         time.Duration
+}
 
-func (q *querySpecs) String() string     { return strings.Join(*q, " ") }
-func (q *querySpecs) Set(s string) error { *q = append(*q, s); return nil }
+// parseArgs parses the command line (without the program name) into the
+// run's validated Config and the command's own options.
+func parseArgs(args []string) (core.Config, options, error) {
+	cfg := core.Default()
+	var o options
+	if err := newFlagSet(&cfg, &o).Parse(args); err != nil {
+		return cfg, o, err
+	}
+	return cfg, o, cfg.Validate()
+}
+
+// newFlagSet binds d3tsim's flags: the shared Config flags and its own.
+func newFlagSet(cfg *core.Config, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("d3tsim", flag.ContinueOnError)
+	core.BindFlags(fs, cfg)
+	fs.IntVar(&cfg.Routers, "routers", cfg.Routers, "number of routers in the physical network")
+	fs.Float64Var(&cfg.SubscribeProb, "subscribe", cfg.SubscribeProb, "per-item subscription probability")
+	fs.Float64Var(&cfg.StringentFrac, "T", cfg.StringentFrac, "fraction of items with stringent tolerances (the paper's T)")
+	fs.IntVar(&cfg.CoopDegree, "coop", cfg.CoopDegree, "degree of cooperation (0 = controlled, Eq. 2)")
+	fs.IntVar(&cfg.CoopK, "k", cfg.CoopK, "Eq. 2 constant k")
+	fs.StringVar(&cfg.Builder, "builder", cfg.Builder, "overlay builder: lela, random, greedy-closest, direct")
+	fs.Float64Var(&cfg.PPercent, "p", cfg.PPercent, "LeLA load-controller admission band (%)")
+	fs.StringVar(&cfg.Preference, "pref", cfg.Preference, "LeLA preference function: P1 or P2")
+	fs.StringVar(&cfg.Protocol, "protocol", cfg.Protocol, "dissemination: distributed, centralized, naive-eq3, all-push")
+	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "parallel item shards (<=1 = one run; rejected with -clients, -virtual-sessions, -query, -faults or -durability-dir)")
+	fs.Float64Var(&cfg.CompDelayMs, "comp", cfg.CompDelayMs, "computational delay per dissemination (ms; negative = zero)")
+	fs.Float64Var(&cfg.CommDelayMs, "comm", cfg.CommDelayMs, "uniform communication delay (ms; 0 = random topology)")
+	fs.IntVar(&cfg.DetectTicks, "detect", cfg.DetectTicks, "failure-detection window in heartbeat intervals (0 = default 3)")
+	fs.StringVar(&cfg.SessionChurn, "session-churn", cfg.SessionChurn,
+		"session arrival/departure plan, same grammar as -faults over the client population")
+	fs.BoolVar(&o.verbose, "v", false, "debug logging on stderr")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress informational logging")
+	fs.BoolVar(&o.obs, "obs", false, "record per-node observability and print a final latency/load summary")
+	fs.DurationVar(&o.obsInterval, "obs-interval", 0, "period between obs summary lines on stderr while the run disseminates (implies -obs)")
+	return fs
+}
 
 func main() {
-	cfg := core.Default()
-	var queries querySpecs
-	var (
-		verbose     = flag.Bool("v", false, "debug logging on stderr")
-		quiet       = flag.Bool("quiet", false, "suppress informational logging")
-		obsOn       = flag.Bool("obs", false, "record per-node observability and print a final latency/load summary")
-		obsInterval = flag.Duration("obs-interval", 0, "period between obs summary lines on stderr while the run disseminates (implies -obs)")
-	)
-	flag.IntVar(&cfg.Repositories, "repos", cfg.Repositories, "number of repositories")
-	flag.IntVar(&cfg.Routers, "routers", cfg.Routers, "number of routers in the physical network")
-	flag.IntVar(&cfg.Items, "items", cfg.Items, "number of data items")
-	flag.IntVar(&cfg.Ticks, "ticks", cfg.Ticks, "trace length (1-second ticks)")
-	flag.Float64Var(&cfg.SubscribeProb, "subscribe", cfg.SubscribeProb, "per-item subscription probability")
-	flag.Float64Var(&cfg.StringentFrac, "T", cfg.StringentFrac, "fraction of items with stringent tolerances (the paper's T)")
-	flag.IntVar(&cfg.CoopDegree, "coop", cfg.CoopDegree, "degree of cooperation (0 = controlled, Eq. 2)")
-	flag.IntVar(&cfg.CoopK, "k", cfg.CoopK, "Eq. 2 constant k")
-	flag.StringVar(&cfg.Builder, "builder", cfg.Builder, "overlay builder: lela, random, greedy-closest, direct")
-	flag.Float64Var(&cfg.PPercent, "p", cfg.PPercent, "LeLA load-controller admission band (%)")
-	flag.StringVar(&cfg.Preference, "pref", cfg.Preference, "LeLA preference function: P1 or P2")
-	flag.StringVar(&cfg.Protocol, "protocol", cfg.Protocol, "dissemination: distributed, centralized, naive-eq3, all-push")
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "parallel item shards (<=1 = one run; rejected with -clients, -virtual-sessions, -query, -faults or -durability-dir)")
-	flag.IntVar(&cfg.BatchTicks, "batch", cfg.BatchTicks, "coalesce each item's updates over windows of this many ticks (<=1 = off)")
-	flag.StringVar(&cfg.Workload, "workload", cfg.Workload,
-		"trace workload family: "+strings.Join(trace.WorkloadNames(), ", "))
-	flag.StringVar(&cfg.WorkloadPath, "workload-path", cfg.WorkloadPath, "trace CSV file for -workload=csv")
-	flag.Float64Var(&cfg.CompDelayMs, "comp", cfg.CompDelayMs, "computational delay per dissemination (ms; negative = zero)")
-	flag.Float64Var(&cfg.CommDelayMs, "comm", cfg.CommDelayMs, "uniform communication delay (ms; 0 = random topology)")
-	flag.StringVar(&cfg.Faults, "faults", cfg.Faults,
-		"failure injection: crash:<node|max>@<tick>[+<downticks>], kill:... (process death; recovers from -durability-dir) or churn:<rate>[:<meandown>]")
-	flag.IntVar(&cfg.DetectTicks, "detect", cfg.DetectTicks, "failure-detection window in heartbeat intervals (0 = default 3)")
-	flag.StringVar(&cfg.Durability.Dir, "durability-dir", cfg.Durability.Dir,
-		"write-ahead log directory: every repository logs its state and kill: faults recover from disk (empty = off)")
-	flag.IntVar(&cfg.Durability.SnapshotEvery, "snapshot-every", 256, "commits between WAL snapshot rotations")
-	flag.StringVar(&cfg.Durability.Fsync, "fsync", cfg.Durability.Fsync, "WAL fsync policy: batch, always, never")
-	flag.IntVar(&cfg.Clients, "clients", cfg.Clients, "client sessions served by the repositories (0 = no client layer)")
-	flag.IntVar(&cfg.ItemsPerClient, "items-per-client", cfg.ItemsPerClient, "mean watch-list size per client (default 3)")
-	flag.IntVar(&cfg.SessionCap, "session-cap", cfg.SessionCap, "sessions per repository before overflow redirects (0 = unlimited)")
-	flag.StringVar(&cfg.SessionChurn, "session-churn", cfg.SessionChurn,
-		"session arrival/departure plan, same grammar as -faults over the client population")
-	flag.IntVar(&cfg.VirtualSessions, "virtual-sessions", cfg.VirtualSessions,
-		"synthetic sessions generated straight into the session store (0 = off)")
-	flag.StringVar(&cfg.Scenario, "scenario", cfg.Scenario,
-		"scenario over the synthetic population: flash:at=0.3,frac=0.5,burst=0.2 | regional:at=0.4,frac=0.25,rejoin=0.7 | diurnal:waves=2,low=0.3")
-	flag.Var(&queries, "query", "derived-data query spec, repeatable — e.g. 'avg(w=5;ITEM000,ITEM001,ITEM002)@0.05' or 'diff(ITEM000,ITEM001)@0.1!client'")
-	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	flag.Parse()
-	cfg.Queries = append(cfg.Queries, queries...)
-	if err := cfg.Validate(); err != nil {
+	cfg, o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "d3tsim: %v\n", err)
 		os.Exit(2)
 	}
-
-	level := obs.LevelInfo
-	if *verbose {
-		level = obs.LevelDebug
-	}
-	if *quiet {
-		level = obs.LevelQuiet
-	}
-	logger := obs.NewLogger(os.Stderr, level)
-
-	if *obsOn || *obsInterval > 0 {
+	logger := obs.NewLogger(os.Stderr, obs.CommandLevel(o.verbose, o.quiet))
+	if o.obs || o.obsInterval > 0 {
 		cfg.Obs = obs.NewTree()
 	}
 	start := time.Now()
-	if *obsInterval > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			tick := time.NewTicker(*obsInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					logger.Infof("%s", cfg.Obs.Summary(time.Since(start).Microseconds()))
-				}
-			}
-		}()
-	}
+	defer obs.LogEvery(logger, cfg.Obs, o.obsInterval, start)()
 
 	logger.Debugf("d3tsim: running %d repositories, %d items x %d ticks", cfg.Repositories, cfg.Items, cfg.Ticks)
 	out, err := core.RunExperiment(cfg)

@@ -305,6 +305,8 @@ type (
 // "crash:max@50", "crash:3@50+100" or "churn:2:30", sized to a run of the
 // given repositories/ticks. See resilience.ParsePlan for the grammar; the
 // same spec is accepted by Config.Faults and the -faults command flags.
+// Sized to a session population instead, it builds a session churn plan
+// (VirtualFleetOptions.Plan; Config.SessionChurn accepts the same specs).
 func ParseFaultPlan(spec string, repos, ticks int, interval Time, seed int64) (*FaultPlan, error) {
 	return resilience.ParsePlan(spec, repos, ticks, interval, seed)
 }
@@ -399,16 +401,6 @@ type (
 // with the fleet as the observer, then Finalize.
 func NewVirtualFleet(net *Network, repos []*Repository, opts VirtualFleetOptions) (*VirtualFleet, error) {
 	return serve.NewFleet(net, repos, opts)
-}
-
-// ParseSessionPlan builds a session churn plan (arrivals/departures over
-// the session population) from a spec string such as "churn:5:40" or
-// "crash:3@100+50", sized to `sessions` clients over `ticks` trace
-// ticks. The same grammar as ParseFaultPlan, applied to sessions; the
-// result feeds VirtualFleetOptions.Plan and Config.SessionChurn accepts
-// the same specs.
-func ParseSessionPlan(spec string, sessions, ticks int, interval Time, seed int64) (*FaultPlan, error) {
-	return serve.ParseSessionPlan(spec, sessions, ticks, interval, seed)
 }
 
 // Query layer -----------------------------------------------------------

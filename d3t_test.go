@@ -54,7 +54,7 @@ func TestFacadeScalesAndFigures(t *testing.T) {
 	if got := len(FigureIDs()); got < 15 {
 		t.Errorf("only %d figures registered", got)
 	}
-	if s := SmallScale(); s.Repositories >= PaperScale().Repositories {
+	if s := SmallScale(); s.Base.Repositories >= PaperScale().Base.Repositories {
 		t.Error("small scale not smaller than paper scale")
 	}
 }
@@ -256,7 +256,7 @@ func TestFacadeClientServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ParseSessionPlan("churn:10:20", len(clients), 200, Second, 23)
+	plan, err := ParseFaultPlan("churn:10:20", len(clients), 200, Second, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
@@ -94,8 +93,18 @@ type Config struct {
 	// a client whose nearest repository is full redirects to the next
 	// candidate.
 	SessionCap int
-	// SessionChurn schedules session arrivals/departures (same grammar as
-	// Faults, over the session population — see serve.ParseSessionPlan).
+	// SessionChurn schedules session arrivals/departures with the Faults
+	// grammar (resilience.ParsePlan) applied to the session population —
+	// named clients, then synthetic sessions, indexed from 1 in admission
+	// order:
+	//
+	//	"" | "none"                no churn
+	//	crash:<i>@<tick>[+<down>]  session i departs at the tick (and
+	//	                           re-arrives <down> ticks later)
+	//	churn:<rate>[:<meandown>]  seeded Poisson churn: <rate> expected
+	//	                           departures per 100 ticks across the
+	//	                           population, each away for an exponential
+	//	                           time with mean <meandown> ticks
 	SessionChurn string
 
 	// VirtualSessions is the number of synthetic end-user sessions the
@@ -338,7 +347,7 @@ func (c Config) sessionPlan() (*resilience.Plan, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	return serve.ParseSessionPlan(c.SessionChurn, n, c.Ticks, c.interval(), c.Seed+15)
+	return resilience.ParsePlan(c.SessionChurn, n, c.Ticks, c.interval(), c.Seed+15)
 }
 
 // clients generates the run's client population over the trace

@@ -8,16 +8,14 @@ import (
 
 // tinyScale keeps unit tests fast while preserving the mechanisms.
 func tinyScale() Scale {
+	base := Default()
+	base.Repositories, base.Routers, base.Items, base.Ticks = 15, 45, 12, 300
 	return Scale{
-		Repositories: 15,
-		Routers:      45,
-		Items:        12,
-		Ticks:        300,
-		CoopGrid:     []int{1, 4, 15},
-		TValues:      []float64{0, 100},
-		CommGridMs:   []float64{1, 125},
-		CompGridMs:   []float64{-1, 25},
-		Seed:         1,
+		Base:       base,
+		CoopGrid:   []int{1, 4, 15},
+		TValues:    []float64{0, 100},
+		CommGridMs: []float64{1, 125},
+		CompGridMs: []float64{-1, 25},
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,35 @@ func TestDurabilityAloneRoutesResilient(t *testing.T) {
 	}
 	if r.Crashes != 0 || r.Kills != 0 || r.DiskRecoveries != 0 {
 		t.Errorf("fault-free durable run injected faults: %+v", r)
+	}
+}
+
+// SnapshotEvery 0 means the wal default of 256, so both settings must
+// recover the same state: through a kill mid-run and through a rerun over
+// the same directory, which restores every repository from disk.
+func TestSnapshotEveryZeroIsDefault(t *testing.T) {
+	run := func(every int) []*Outcome {
+		cfg := tinyScale().base()
+		cfg.Faults = "kill:max@60+80"
+		cfg.Durability = DurabilityConfig{Dir: t.TempDir(), SnapshotEvery: every, Fsync: "never"}
+		var outs []*Outcome
+		for range 2 {
+			out, err := RunExperiment(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Config = Config{} // differs by the setting under test
+			outs = append(outs, out)
+		}
+		return outs
+	}
+	zero, def := run(0), run(256)
+	if zero[1].Resilience.RestoredAtStart == 0 {
+		t.Fatal("rerun over the log directory restored nothing")
+	}
+	if !reflect.DeepEqual(zero, def) {
+		t.Errorf("SnapshotEvery 0 and 256 diverged:\n  0:   %+v %+v\n  256: %+v %+v",
+			zero[0].Resilience, zero[1].Resilience, def[0].Resilience, def[1].Resilience)
 	}
 }
 

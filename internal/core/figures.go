@@ -84,7 +84,7 @@ func FigureIDs() []string {
 // Table1 regenerates the trace-characteristics table from the synthetic
 // stand-ins for the paper's six example tickers.
 func Table1(s Scale) (*FigureResult, error) {
-	traces := trace.Table1TracesSized(s.Ticks, s.Seed)
+	traces := trace.Table1TracesSized(s.Base.Ticks, s.Base.Seed)
 	rows := make([][]string, 0, len(traces))
 	for i, tr := range traces {
 		st := tr.Summarize()
@@ -539,7 +539,7 @@ func Figure11(s Scale) (*FigureResult, error) {
 // (and the network proportionally) with controlled cooperation should cost
 // only a few points of fidelity.
 func Scalability(s Scale) (*FigureResult, error) {
-	sizes := []int{s.Repositories, 2 * s.Repositories, 3 * s.Repositories}
+	sizes := []int{s.Base.Repositories, 2 * s.Base.Repositories, 3 * s.Base.Repositories}
 	var cfgs []Config
 	for _, n := range sizes {
 		cfg := s.base()

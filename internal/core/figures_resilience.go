@@ -70,7 +70,7 @@ func FigureFaultFidelity(s Scale) (*FigureResult, error) {
 // dependents each failure strands and how much spare capacity the
 // backups have.
 func FigureRecoveryLatency(s Scale) (*FigureResult, error) {
-	crashTick := s.Ticks / 8
+	crashTick := s.Base.Ticks / 8
 	if crashTick < 1 {
 		crashTick = 1
 	}
@@ -130,11 +130,11 @@ var snapGrid = []int{1, 4, 16, 64, 256}
 // figure is deterministic — the trade it shows is how the snapshot
 // interval bounds the log tail a recovering node must replay.
 func FigureRecoveryDisk(s Scale) (*FigureResult, error) {
-	crashTick := s.Ticks / 3
+	crashTick := s.Base.Ticks / 3
 	if crashTick < 1 {
 		crashTick = 1
 	}
-	down := s.Ticks / 8
+	down := s.Base.Ticks / 8
 	if down < 1 {
 		down = 1
 	}

@@ -66,3 +66,40 @@ func (l *Logger) logf(level Level, format string, args ...any) {
 	elapsed := time.Since(l.start).Round(time.Millisecond)
 	fmt.Fprintf(l.w, "[%8s] "+format+"\n", append([]any{elapsed}, args...)...)
 }
+
+// CommandLevel is the level a command's -v and -quiet flags select:
+// LevelInfo by default, LevelDebug with -v, LevelQuiet with -quiet
+// (which wins over -v).
+func CommandLevel(verbose, quiet bool) Level {
+	switch {
+	case quiet:
+		return LevelQuiet
+	case verbose:
+		return LevelDebug
+	}
+	return LevelInfo
+}
+
+// LogEvery logs t's one-line Summary at info level once per period,
+// stamped with the time since start, until the returned stop is called;
+// stop returns once logging has ended. A period <= 0 logs nothing.
+func LogEvery(l *Logger, t *Tree, period time.Duration, start time.Time) (stop func()) {
+	if period <= 0 {
+		return func() {}
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				l.Infof("%s", t.Summary(time.Since(start).Microseconds()))
+			}
+		}
+	}()
+	return func() { close(done); <-exited }
+}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"d3t/internal/repository"
 )
@@ -334,6 +335,47 @@ func TestLoggerLevels(t *testing.T) {
 	if NewLogger(&buf, LevelQuiet) != nil || NewLogger(nil, LevelInfo) != nil {
 		t.Fatalf("quiet/nil-writer logger must be nil")
 	}
+}
+
+func TestCommandLevel(t *testing.T) {
+	for _, c := range []struct {
+		verbose, quiet bool
+		want           Level
+	}{
+		{false, false, LevelInfo},
+		{true, false, LevelDebug},
+		{false, true, LevelQuiet},
+		{true, true, LevelQuiet},
+	} {
+		if got := CommandLevel(c.verbose, c.quiet); got != c.want {
+			t.Errorf("CommandLevel(%v, %v) = %v, want %v", c.verbose, c.quiet, got, c.want)
+		}
+	}
+}
+
+// lineSignal forwards each written line to a channel without blocking.
+type lineSignal chan string
+
+func (s lineSignal) Write(p []byte) (int, error) {
+	select {
+	case s <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+func TestLogEvery(t *testing.T) {
+	lines := make(lineSignal, 1)
+	tree := NewTree()
+	tree.Node(repository.SourceID)
+	stop := LogEvery(NewLogger(lines, LevelInfo), tree, time.Millisecond, time.Now())
+	if line := <-lines; !strings.Contains(line, "nodes=1") {
+		t.Errorf("summary line %q", line)
+	}
+	// stop hangs the test if the logging goroutine does not exit; with a
+	// period <= 0 nothing starts and stop returns at once.
+	stop()
+	LogEvery(nil, nil, 0, time.Now())()
 }
 
 func TestServeMetrics(t *testing.T) {

@@ -12,7 +12,11 @@ import (
 // population, rejoins after crashes. Two of the guards it exercises were
 // fuzz finds: a non-finite churn rate made the Poisson generator loop
 // forever (the arrival step collapsed to zero), and a pathological rate
-// materialized an unbounded fault schedule.
+// materialized an unbounded fault schedule. The same grammar schedules
+// session churn over a session population (core.Config.SessionChurn),
+// so the corpus carries session-churn specs too: there the serving
+// fleet indexes its sessions with Fault.Node - 1, relying on the
+// ordering and range this harness checks.
 func FuzzParsePlan(f *testing.F) {
 	for _, spec := range []string{
 		"", "none",
@@ -24,6 +28,14 @@ func FuzzParsePlan(f *testing.F) {
 		"churn:2:NaN", "churn:2:-5", "bogus:1", "crash", ":", "crash:3@50+x",
 	} {
 		f.Add(spec, 10, 100)
+	}
+	for _, spec := range []string{ // session churn over 50 sessions
+		"", "none",
+		"crash:1@10", "crash:5@10+20", "churn:5", "churn:5:40", "churn:0.1:0.1",
+		"crash:max@10", "churn:Inf", "churn:NaN:1", "churn:1e308", "leave:1@2",
+		"crash:1@", "crash:@1", "churn::", "churn:5:",
+	} {
+		f.Add(spec, 50, 200)
 	}
 	f.Fuzz(func(t *testing.T, spec string, repos, ticks int) {
 		// The harness sizes the run within realistic bounds; the spec

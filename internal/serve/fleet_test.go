@@ -11,6 +11,7 @@ import (
 	"d3t/internal/netsim"
 	"d3t/internal/query"
 	"d3t/internal/repository"
+	"d3t/internal/resilience"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 )
@@ -302,7 +303,7 @@ func TestVirtualFlashScenario(t *testing.T) {
 func TestVirtualDeterminism(t *testing.T) {
 	items := []string{"X", "Y", "Z"}
 	run := func() Stats {
-		plan, err := ParseSessionPlan("churn:20:10", 80, 100, sim.Second, 9)
+		plan, err := resilience.ParsePlan("churn:20:10", 80, 100, sim.Second, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

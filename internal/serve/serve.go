@@ -78,7 +78,8 @@ type Options struct {
 	// population (Fault.Node is a 1-based index into the clients and
 	// synthetic sessions, in admission order) where At is the session's
 	// departure and RejoinAt its re-arrival. Nil means every session
-	// stays for the whole run. See ParseSessionPlan.
+	// stays for the whole run. resilience.ParsePlan builds one; see
+	// core.Config.SessionChurn for the grammar over sessions.
 	Plan *resilience.Plan
 	// Scenario schedules scenario-driven churn over the synthetic
 	// population (tick-indexed; converted through Interval). Flash-crowd
@@ -146,22 +147,4 @@ type Stats struct {
 func (s Stats) String() string {
 	return fmt.Sprintf("sessions=%d clientLoss=%.2f%% redirects=%d migrations=%d delivered=%d filtered=%d shards=%d bytes/session=%.0f",
 		s.Sessions, s.LossPercent, s.Redirects, s.Migrations, s.Delivered, s.Filtered, s.Shards, s.BytesPerSession)
-}
-
-// ParseSessionPlan builds a session churn plan from a spec string, sized
-// to a population of `sessions` clients over `ticks` trace ticks. It
-// reuses the resilience fault-plan grammar with sessions standing in for
-// repositories:
-//
-//	"" | "none"                no churn
-//	crash:<i>@<tick>[+<down>]  session i departs at the tick (and
-//	                           re-arrives <down> ticks later)
-//	churn:<rate>[:<meandown>]  seeded Poisson churn: <rate> expected
-//	                           departures per 100 ticks across the
-//	                           population, each away for an exponential
-//	                           time with mean <meandown> ticks
-//
-// The same spec, sizes and seed always yield the same plan.
-func ParseSessionPlan(spec string, sessions, ticks int, interval sim.Time, seed int64) (*resilience.Plan, error) {
-	return resilience.ParsePlan(spec, sessions, ticks, interval, seed)
 }

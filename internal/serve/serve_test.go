@@ -8,6 +8,7 @@ import (
 	"d3t/internal/coherency"
 	"d3t/internal/netsim"
 	"d3t/internal/repository"
+	"d3t/internal/resilience"
 	"d3t/internal/sim"
 )
 
@@ -125,11 +126,11 @@ func TestFidelityIntegratesViolations(t *testing.T) {
 }
 
 func TestSessionChurnPlanDeterminism(t *testing.T) {
-	a, err := ParseSessionPlan("churn:10:20", 50, 400, sim.Second, 7)
+	a, err := resilience.ParsePlan("churn:10:20", 50, 400, sim.Second, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ParseSessionPlan("churn:10:20", 50, 400, sim.Second, 7)
+	b, _ := resilience.ParsePlan("churn:10:20", 50, 400, sim.Second, 7)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same spec and seed produced different session plans")
 	}
@@ -144,7 +145,7 @@ func TestSessionChurnPlanDeterminism(t *testing.T) {
 }
 
 func TestChurnDepartureStopsObservation(t *testing.T) {
-	plan, err := ParseSessionPlan("crash:1@5+5", 1, 20, sim.Second, 1)
+	plan, err := resilience.ParsePlan("crash:1@5+5", 1, 20, sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestFleetDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := ParseSessionPlan("churn:20:10", len(clients), 100, sim.Second, 9)
+		plan, err := resilience.ParsePlan("churn:20:10", len(clients), 100, sim.Second, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
