@@ -304,6 +304,13 @@ func TestTCPFailoverToBackupParent(t *testing.T) {
 		v, _ := leaf.Value("X")
 		t.Fatalf("leaf never resynced after failover: holds %v", v)
 	}
+	// The source notices mid's departure only when its read of mid's
+	// connection hits EOF; until then a push to mid fails with a broken
+	// pipe. The leaf is registered (it resynced), so one child means mid
+	// has been dropped.
+	if !waitFor(t, 5*time.Second, func() bool { return source.ConnectedChildren() == 1 }) {
+		t.Fatalf("source still holds %d children after mid died", source.ConnectedChildren())
+	}
 
 	// New updates keep flowing over the backup connection.
 	if err := source.Publish("X", 800); err != nil {
