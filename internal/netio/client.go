@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -232,7 +233,7 @@ func (c *Client) connect(skip string) (net.Conn, *wire.Decoder, error) {
 			conn.Close()
 			continue
 		}
-		dec := wire.NewDecoder(conn)
+		dec := wire.NewDecoder(bufio.NewReaderSize(conn, readBuf))
 		var answer wire.Frame
 		if dec.Decode(&answer) != nil {
 			conn.Close()

@@ -7,12 +7,20 @@
 //
 // Wire format: length-prefixed fixed-layout binary frames
 // (internal/wire) on long-lived TCP connections — hand-rolled
-// little-endian encoding into pooled buffers, no per-frame reflection.
-// A dependent dials its parent and sends a hello frame identifying
-// itself; the parent then pushes update frames for the items it serves
-// that dependent, filtered by Eqs. 3 and 7. A corrupt or truncated
-// stream fails the strict decoder and tears that connection down, which
-// feeds the same connection-error machinery as a crash.
+// little-endian encoding, no per-frame reflection. A dependent dials its
+// parent and sends a hello frame identifying itself; the parent then
+// pushes update frames for the items it serves that dependent, filtered
+// by Eqs. 3 and 7. A corrupt or truncated stream fails the strict
+// decoder and tears that connection down, which feeds the same
+// connection-error machinery as a crash.
+//
+// The hop: the node's mutex covers deciding, logging and queueing, never
+// the socket. Every outbound connection (a dependent's push connection,
+// an admitted client session) has a writer goroutine that sends all the
+// frames queued since its last write with one write call, and every
+// socket decoder reads through a 64 KiB buffer. A full socket holds its
+// queue at a fixed bound, which then blocks the applying goroutine as a
+// blocking write used to. Nothing is dropped, merged or reordered.
 //
 // The filtering, last-pushed-value tracking, session admission and
 // resync rules live in the transport-agnostic core (internal/node),
@@ -21,10 +29,12 @@
 package netio
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,20 +128,16 @@ type Node struct {
 	mu sync.Mutex
 	// core owns values, per-child filter state and client sessions;
 	// guarded by mu.
-	core     *dnode.Core
-	tr       transport
-	childEnc map[repository.ID]*wire.Encoder
-	// clientEnc maps admitted session names to their push encoders —
-	// the wire half of the core's session registry.
-	clientEnc map[string]*wire.Encoder
+	core *dnode.Core
+	tr   transport
+	// children maps each dialed-in dependent to its push connection's
+	// writer.
+	children map[repository.ID]*peer
 	// querySubs maps admitted query-session names to their server-side
 	// evaluation state (sessions whose subscribe frame carried a spec).
 	querySubs map[string]*querySub
-	conns     map[net.Conn]bool
-	closed    bool
 
-	parentConns []net.Conn
-	wg          sync.WaitGroup
+	wg sync.WaitGroup
 	// Delivered counts updates received from the parent.
 	delivered int
 	// failovers counts successful re-connections to a backup parent.
@@ -140,20 +146,38 @@ type Node struct {
 	// dur is the node's write-ahead log glue (nil without durability),
 	// guarded by mu.
 	dur *dnode.Durable
+
+	// connMu guards conns and closed apart from mu, so Close can close
+	// every connection without waiting for mu: that unblocks a writer
+	// stuck on a full socket, and with it an apply waiting for room in
+	// that writer's queue while holding mu.
+	connMu sync.Mutex
+	// conns holds every open connection, accepted and dialed.
+	conns  map[net.Conn]bool
+	closed bool
 }
 
 // transport adapts the core's decisions to wire frames. Every call
-// happens under Node.mu; wire encoders write to TCP sockets, whose
-// buffers apply backpressure naturally. Dependent copies are collected
-// per apply pass and flushed as one frame per dependent — the plain
-// update frame when the pass produced a single copy, the multi-update
-// batch frame when it produced several, so one TCP write carries the
-// whole batch.
+// happens under Node.mu and nothing here touches a socket: an apply pass
+// collects its copies, and flush appends the pass's frames to the peers'
+// queues, after the pass's WAL commit. Per dependent the pass yields one
+// frame — the plain update frame for a single copy, the multi-update
+// batch frame for several. Client frames follow in decision order.
 type transport struct {
 	n *Node
-	// pend collects the apply pass's dependent copies in decision order.
-	pend []depSend
-	// err records the first child-push encode failure of an apply pass.
+	// pass numbers apply passes; a peer stamped with the current pass
+	// already has its group.
+	pass uint64
+	// pend collects the pass's dependent copies in decision order, each
+	// tagged with its dependent's index in groups; groups lists the
+	// pass's dependents in first-decision order.
+	pend   []depSend
+	groups []depGroup
+	// ups is flush's scratch: pend regrouped by dependent.
+	ups []Update
+	// cpend collects the pass's client frames.
+	cpend []clientSend
+	// err records the first child-push failure of an apply pass.
 	err error
 	// tid/hops are the pass's trace context: the sampled id and the hop
 	// stamps accumulated so far (ending with this node's own receipt).
@@ -165,8 +189,24 @@ type transport struct {
 
 // depSend is one collected dependent copy awaiting the pass's flush.
 type depSend struct {
-	dep repository.ID
-	up  Update
+	group int
+	up    Update
+}
+
+// depGroup is one dependent's share of a pass: n copies, placed at
+// ups[start:start+n] by flush.
+type depGroup struct {
+	dep      repository.ID
+	p        *peer
+	n, start int
+}
+
+// clientSend is one collected client frame.
+type clientSend struct {
+	p      *peer
+	item   string
+	v      float64
+	resync bool
 }
 
 func (t *transport) Now() sim.Time {
@@ -174,86 +214,91 @@ func (t *transport) Now() sim.Time {
 }
 
 func (t *transport) SendToDependent(dep repository.ID, item string, v float64, resync bool) bool {
-	if t.n.childEnc[dep] == nil {
+	p := t.n.children[dep]
+	if p == nil {
 		// Child not dialed in yet: report no path so the core leaves the
 		// filter state untouched and the child catches up on the next
 		// qualifying update after it joins.
 		return false
 	}
-	t.pend = append(t.pend, depSend{dep, Update{Item: item, Value: v}})
+	if p.pass != t.pass {
+		p.pass, p.group = t.pass, len(t.groups)
+		t.groups = append(t.groups, depGroup{dep: dep, p: p})
+	}
+	t.groups[p.group].n++
+	t.pend = append(t.pend, depSend{p.group, Update{Item: item, Value: v}})
 	return true
 }
 
 // begin opens an apply pass.
 func (t *transport) begin() {
-	t.pend = t.pend[:0]
+	t.pass++
+	t.pend, t.groups, t.cpend = t.pend[:0], t.groups[:0], t.cpend[:0]
 	t.err = nil
 	t.tid, t.hops = 0, nil
 }
 
-// flush writes the pass's collected copies: per dependent (in
-// first-decision order), a single update frame or one batch frame.
+// flush queues the pass's frames: per dependent (in first-decision
+// order) a single update frame or one batch frame, then the client
+// frames. A counting sort regroups the copies, so a pass costs
+// O(copies) and allocates nothing once the scratch has grown.
 func (t *transport) flush() {
-	for i := range t.pend {
-		dep := t.pend[i].dep
-		dup := false
-		for j := 0; j < i; j++ {
-			if t.pend[j].dep == dep {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		var ups []Update
-		for j := i; j < len(t.pend); j++ {
-			if t.pend[j].dep == dep {
-				ups = append(ups, t.pend[j].up)
-			}
-		}
-		enc := t.n.childEnc[dep]
-		if enc == nil {
-			continue // unreachable: registration is stable under Node.mu
-		}
+	off := 0
+	for i := range t.groups {
+		g := &t.groups[i]
+		g.start, off, g.n = off, off+g.n, 0
+	}
+	t.ups = slices.Grow(t.ups[:0], off)[:off]
+	for _, s := range t.pend {
+		g := &t.groups[s.group]
+		t.ups[g.start+g.n] = s.up
+		g.n++
+	}
+	for i := range t.groups {
+		g := &t.groups[i]
+		ups := t.ups[g.start : g.start+g.n]
 		var err error
 		if len(ups) == 1 {
-			err = enc.Encode(&wire.Frame{Kind: wire.KindUpdate, Item: ups[0].Item, Value: ups[0].Value,
+			err = g.p.send(&wire.Frame{Kind: wire.KindUpdate, Item: ups[0].Item, Value: ups[0].Value,
 				TraceID: t.tid, Hops: t.hops})
 		} else {
-			err = enc.Encode(&wire.Frame{Kind: wire.KindBatch, Ups: ups})
+			err = g.p.send(&wire.Frame{Kind: wire.KindBatch, Ups: ups})
 		}
 		if err != nil && t.err == nil {
-			t.err = fmt.Errorf("netio: %v pushing to %v: %w", t.n.cfg.ID, dep, err)
+			t.err = fmt.Errorf("netio: %v pushing to %v: %w", t.n.cfg.ID, g.dep, err)
 		}
+	}
+	for _, c := range t.cpend {
+		c.p.send(&wire.Frame{Kind: wire.KindUpdate, Item: c.item, Value: c.v, Resync: c.resync})
 	}
 }
 
 func (t *transport) SendToClient(s *dnode.Session, item string, v float64, resync bool) {
 	switch tag := s.Tag().(type) {
-	case *wire.Encoder:
-		tag.Encode(&wire.Frame{Kind: wire.KindUpdate, Item: item, Value: v, Resync: resync})
+	case *peer:
+		t.cpend = append(t.cpend, clientSend{tag, item, v, resync})
 	case *querySub:
 		t.n.queryDeliver(tag, t.Now(), item, v, resync)
 	}
 }
 
 // querySub is the server half of one repository-evaluated query session
-// (a subscribe frame carrying a query spec): the wire encoder pushing
+// (a subscribe frame carrying a query spec): the session's writer for
 // result frames plus the incremental evaluator fed by the deliveries the
 // per-client filter forwards. All access happens under Node.mu — the
 // session push path already runs there.
 type querySub struct {
 	q    query.Query
 	eval *query.Eval
-	enc  *wire.Encoder
+	p    *peer
 }
 
 // queryDeliver runs one filtered input delivery through a query session:
 // the evaluator recomputes, and a changed result that passes the
-// predicate is pushed as an update frame under the query's result
+// predicate is queued as an update frame under the query's result
 // pseudo-item — only result changes travel the last hop, which is the
-// point of repository-side placement. Caller holds Node.mu.
+// point of repository-side placement. Caller holds Node.mu, inside an
+// apply pass.
 func (n *Node) queryDeliver(qs *querySub, now sim.Time, item string, v float64, resync bool) {
 	interval := n.cfg.QueryInterval
 	if interval <= 0 {
@@ -271,7 +316,7 @@ func (n *Node) queryDeliver(qs *querySub, now sim.Time, item string, v float64, 
 	if qs.q.Pred != nil && !qs.q.Pred.Holds(res) {
 		return
 	}
-	qs.enc.Encode(&wire.Frame{Kind: wire.KindUpdate, Item: qs.q.ResultItem(), Value: res, Resync: resync})
+	n.tr.cpend = append(n.tr.cpend, clientSend{qs.p, qs.q.ResultItem(), res, resync})
 }
 
 // QueryCounts reports the eval/recompute counters of a repository-side
@@ -346,8 +391,7 @@ func Start(cfg NodeConfig) (*Node, error) {
 		ln:        ln,
 		start:     time.Now(),
 		core:      buildCore(cfg),
-		childEnc:  make(map[repository.ID]*wire.Encoder),
-		clientEnc: make(map[string]*wire.Encoder),
+		children:  make(map[repository.ID]*peer),
 		querySubs: make(map[string]*querySub),
 		conns:     make(map[net.Conn]bool),
 	}
@@ -385,9 +429,7 @@ func Start(cfg NodeConfig) (*Node, error) {
 			n.Close()
 			return nil, fmt.Errorf("netio: %v dialing parent %s: %w", cfg.ID, parent, err)
 		}
-		n.mu.Lock()
-		n.parentConns = append(n.parentConns, conn)
-		n.mu.Unlock()
+		n.track(conn) // nobody can have closed the node yet
 		if err := wire.NewEncoder(conn).Encode(&wire.Frame{Kind: wire.KindHello, From: cfg.ID}); err != nil {
 			n.Close()
 			return nil, fmt.Errorf("netio: %v hello: %w", cfg.ID, err)
@@ -407,25 +449,55 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // ID returns the node's overlay id.
 func (n *Node) ID() repository.ID { return n.cfg.ID }
 
-// Close shuts the node down and waits for its goroutines.
+// Close shuts the node down and waits for its goroutines. Frames still
+// queued for a peer are dropped with its connection, as in a crash.
 func (n *Node) Close() error {
-	n.mu.Lock()
+	n.connMu.Lock()
 	n.closed = true
 	for conn := range n.conns {
-		conn.Close() // unblocks parked child readers
-	}
-	parents := append([]net.Conn(nil), n.parentConns...)
-	n.mu.Unlock()
-	err := n.ln.Close()
-	for _, conn := range parents {
+		// Unblocks parked readers, and writers stuck on a full socket
+		// (so an apply waiting for room in their queues returns too).
 		conn.Close()
 	}
+	n.connMu.Unlock()
+	err := n.ln.Close()
 	n.metrics.Close()
 	n.wg.Wait()
 	n.mu.Lock()
 	n.dur.Close()
 	n.mu.Unlock()
 	return err
+}
+
+// track registers an open connection for Close to shut. It reports false
+// once the node is closed; the caller then closes conn itself.
+func (n *Node) track(conn net.Conn) bool {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.conns[conn] = true
+	return true
+}
+
+// untrack closes conn and forgets it.
+func (n *Node) untrack(conn net.Conn) {
+	conn.Close()
+	n.connMu.Lock()
+	delete(n.conns, conn)
+	n.connMu.Unlock()
+}
+
+// startPeer starts the writer goroutine of an outbound connection.
+func (n *Node) startPeer(conn net.Conn) *peer {
+	p := newPeer(conn)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		p.run()
+	}()
+	return p
 }
 
 // DurabilityErr reports the first write-ahead-log failure the node hit,
@@ -467,8 +539,8 @@ func (n *Node) sampleTrace(item string) (uint64, []obs.Hop) {
 // PublishBatch injects one tick's worth of source updates as a batch:
 // same-item updates coalesce to the newest value, the whole batch runs
 // through the filter pipeline in one pass, and each dependent receives
-// its share in a single multi-update frame — one TCP write per child per
-// batch. Calling it on a non-source node is an error.
+// its share in a single multi-update frame. Calling it on a non-source
+// node is an error.
 func (n *Node) PublishBatch(ups []Update) error {
 	if len(n.cfg.Parents) > 0 {
 		return errors.New("netio: PublishBatch on a non-source node")
@@ -504,7 +576,7 @@ func (n *Node) Failovers() int {
 func (n *Node) ConnectedChildren() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.childEnc)
+	return len(n.children)
 }
 
 // ExpectedChildren reports how many dependents the node is configured to
@@ -538,21 +610,12 @@ func (n *Node) acceptLoop() {
 // push target. The child never sends further frames; the read blocks
 // until either side closes, cleaning up the registration.
 func (n *Node) handleChild(conn net.Conn) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.track(conn) {
 		conn.Close()
 		return
 	}
-	n.conns[conn] = true
-	n.mu.Unlock()
-	defer func() {
-		conn.Close()
-		n.mu.Lock()
-		delete(n.conns, conn)
-		n.mu.Unlock()
-	}()
-	dec := wire.NewDecoder(conn)
+	defer n.untrack(conn)
+	dec := wire.NewDecoder(bufio.NewReaderSize(conn, readBuf))
 	var hello wire.Frame
 	if err := dec.Decode(&hello); err != nil {
 		return
@@ -567,12 +630,9 @@ func (n *Node) handleChild(conn net.Conn) {
 	if _, ok := n.cfg.Children[hello.From]; !ok {
 		return // unknown dependent
 	}
+	p := n.startPeer(conn)
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.childEnc[hello.From] = wire.NewEncoder(conn)
+	n.children[hello.From] = p
 	if hello.Resync {
 		// A dependent that failed over to us catches up immediately: the
 		// core pushes the current copy of every item we serve it,
@@ -585,14 +645,18 @@ func (n *Node) handleChild(conn net.Conn) {
 	n.mu.Unlock()
 
 	// The child never sends further frames; the read blocks until either
-	// side closes. Any byte it does send must be a well-formed frame — a
-	// corrupt stream fails the strict decoder and drops the registration.
+	// side closes — the writer closes on a write error too. Any byte it
+	// does send must be a well-formed frame — a corrupt stream fails the
+	// strict decoder and drops the registration.
 	var discard wire.Frame
 	for dec.Decode(&discard) == nil {
 	}
 	n.mu.Lock()
-	delete(n.childEnc, hello.From)
+	if n.children[hello.From] == p { // not replaced by a reconnect
+		delete(n.children, hello.From)
+	}
 	n.mu.Unlock()
+	p.stop()
 }
 
 // handleClient admits (or redirects) one client session: the TCP
@@ -619,13 +683,9 @@ func (n *Node) handleClient(conn net.Conn, dec *wire.Decoder, sub wire.Frame) {
 			return
 		}
 		q.Name = sub.Name
-		qs = &querySub{q: q, eval: query.NewEval(q), enc: enc}
+		qs = &querySub{q: q, eval: query.NewEval(q)}
 	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
 	if reason := n.core.CanAdmit(sub.Name, sub.Wants); reason != dnode.RejectNone {
 		n.core.NoteRedirect()
 		peers := append([]string(nil), n.cfg.SessionPeers...)
@@ -633,22 +693,27 @@ func (n *Node) handleClient(conn net.Conn, dec *wire.Decoder, sub wire.Frame) {
 		enc.Encode(&wire.Frame{Kind: wire.KindRedirect, Addrs: peers})
 		return
 	}
+	// The accept frame goes out on this goroutine, before the session
+	// exists, so the handshake waits on no writer.
 	if enc.Encode(&wire.Frame{Kind: wire.KindAccept}) != nil {
 		n.mu.Unlock()
 		return
 	}
-	n.clientEnc[sub.Name] = enc
+	p := n.startPeer(conn)
 	// Admission resyncs the session to our current copies immediately. A
 	// query session's resync feeds the evaluator (counted, like every
 	// delivery) instead of shipping raw inputs.
 	ns := dnode.NewSession(sub.Name, sub.Wants)
 	if qs != nil {
+		qs.p = p
 		n.querySubs[sub.Name] = qs
 		ns.SetTag(qs)
 	} else {
-		ns.SetTag(enc)
+		ns.SetTag(p)
 	}
+	n.tr.begin()
 	n.core.ForceAdmit(ns, &n.tr)
+	n.tr.flush()
 	n.mu.Unlock()
 
 	// Park until either side closes (a client sending garbage fails the
@@ -657,10 +722,10 @@ func (n *Node) handleClient(conn net.Conn, dec *wire.Decoder, sub wire.Frame) {
 	for dec.Decode(&discard) == nil {
 	}
 	n.mu.Lock()
-	delete(n.clientEnc, sub.Name)
 	delete(n.querySubs, sub.Name)
 	n.core.DropSession(sub.Name)
 	n.mu.Unlock()
+	p.stop()
 }
 
 // Sessions reports how many client sessions the node currently serves.
@@ -688,13 +753,14 @@ func (n *Node) RedirectedSessions() int {
 // exponential backoff, so a misconfigured backup list degrades to slow
 // retries instead of a hot reconnect loop.
 func (n *Node) parentLoop(conn net.Conn) {
-	dec := wire.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, readBuf)
+	dec := wire.NewDecoder(br)
 	backoff := 50 * time.Millisecond
 	framed := false // a frame arrived on the current connection
 	var f wire.Frame
 	for {
 		if err := dec.Decode(&f); err != nil {
-			conn.Close()
+			n.untrack(conn)
 			if !framed {
 				time.Sleep(backoff)
 				if backoff < 2*time.Second {
@@ -705,7 +771,8 @@ func (n *Node) parentLoop(conn net.Conn) {
 			if !ok {
 				return
 			}
-			conn, dec, framed = next, wire.NewDecoder(next), false
+			br.Reset(next)
+			conn, dec, framed = next, wire.NewDecoder(br), false
 			continue
 		}
 		framed, backoff = true, 50*time.Millisecond
@@ -731,9 +798,9 @@ func (n *Node) parentLoop(conn net.Conn) {
 // on the first that answers. It returns false when the node is shutting
 // down or no backup is reachable.
 func (n *Node) failover() (net.Conn, bool) {
-	n.mu.Lock()
+	n.connMu.Lock()
 	closed := n.closed
-	n.mu.Unlock()
+	n.connMu.Unlock()
 	if closed || len(n.cfg.Backups) == 0 {
 		return nil, false
 	}
@@ -746,13 +813,11 @@ func (n *Node) failover() (net.Conn, bool) {
 			conn.Close()
 			continue
 		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
+		if !n.track(conn) {
 			conn.Close()
 			return nil, false
 		}
-		n.parentConns = append(n.parentConns, conn)
+		n.mu.Lock()
 		n.failovers++
 		n.mu.Unlock()
 		return conn, true
@@ -799,7 +864,9 @@ func (n *Node) MetricsAddr() string {
 
 // apply records the value locally and forwards it — to dependents and
 // client sessions both — through the core's filter pipeline. tid/hops
-// carry the update's trace context (zero when untraced).
+// carry the update's trace context (zero when untraced). The WAL commit
+// comes before flush queues the pass's frames, so a copy is logged
+// before it can be sent.
 func (n *Node) apply(item string, value float64, tid uint64, hops []obs.Hop) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -24,6 +24,8 @@ type (
 	Client = inetio.Client
 	// ClientUpdate is one value pushed to a remote client session.
 	ClientUpdate = inetio.ClientUpdate
+	// Update is one (item, value) pair of a Node.PublishBatch batch.
+	Update = inetio.Update
 	// ClusterOptions configures a cluster start's observability: the
 	// obs tree, the update-trace sampling rate, and the HTTP metrics
 	// address. The zero value disables all three (StartCluster's

@@ -22,12 +22,23 @@ func TestPublicTCPCluster(t *testing.T) {
 	if err := cl.Source().Publish("X", 2); err != nil {
 		t.Fatal(err)
 	}
+	waitValue(t, cl, 2)
+	// A batch needs nothing beyond this package: Update is re-exported.
+	if err := cl.Source().PublishBatch([]Update{{Item: "X", Value: 5}, {Item: "X", Value: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	waitValue(t, cl, 3)
+}
+
+// waitValue waits until node 1 holds X = v.
+func waitValue(t *testing.T, cl *Cluster, v float64) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if v, _ := cl.Nodes[1].Value("X"); v == 2 {
+		if got, _ := cl.Nodes[1].Value("X"); got == v {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("update did not propagate over TCP")
+	t.Fatalf("X=%v did not propagate over TCP", v)
 }
