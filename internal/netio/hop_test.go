@@ -127,9 +127,8 @@ const stalledPublishes = 2000
 
 // stalledChild starts a source serving bigItem to a raw child 1, shrinks
 // the source's send buffer for it, and returns the child's connection and
-// the source's writer for it. (Shrinking the child's receive buffer below
-// the loopback segment size as well can stall the stream in TCP's
-// zero-window probing.)
+// the source's writer for it. (Shrinking the child's receive buffer too
+// made the resumed stream crawl on loopback, for seconds.)
 func stalledChild(t *testing.T) (*Node, *net.TCPConn, *peer) {
 	t.Helper()
 	src, err := Start(NodeConfig{

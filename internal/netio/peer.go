@@ -18,7 +18,7 @@ const maxPending = 1 << 20
 // backlog of frames decodes from one read.
 const readBuf = 64 << 10
 
-// errPeerStopped is what an append to a stopped peer reports.
+// errPeerStopped is what a stopped peer latches.
 var errPeerStopped = errors.New("netio: connection closed")
 
 // peer is the write half of one outbound connection: a dependent's push
@@ -31,15 +31,14 @@ type peer struct {
 	conn net.Conn
 
 	mu sync.Mutex
-	// cond wakes the writer when frames are pending or the peer stops, and
-	// an appender waiting for room when the writer takes the buffer or
-	// fails.
+	// cond wakes the writer when frames are pending or err is set, and an
+	// appender waiting for room when the writer takes the buffer or err is
+	// set.
 	cond    sync.Cond
 	pending []byte
-	// err is the first write error. The writer closed the connection and
-	// exited; every later send reports it.
-	err     error
-	stopped bool
+	// err ends the peer: the first write error (the writer closed the
+	// connection) or errPeerStopped. Every later send reports it.
+	err error
 
 	// pass and group are transport.flush's grouping scratch for a
 	// dependent's peer, guarded by Node.mu.
@@ -54,18 +53,15 @@ func newPeer(conn net.Conn) *peer {
 }
 
 // send appends f to the pending stream, waiting while maxPending bytes
-// are already queued. It returns the latched write error, if any.
+// are already queued. It returns the peer's latched error, if any.
 func (p *peer) send(f *wire.Frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.pending) >= maxPending && p.err == nil && !p.stopped {
+	for len(p.pending) >= maxPending && p.err == nil {
 		p.cond.Wait()
 	}
 	if p.err != nil {
 		return p.err
-	}
-	if p.stopped {
-		return errPeerStopped
 	}
 	n := len(p.pending)
 	b, err := wire.AppendFrame(p.pending, f)
@@ -83,17 +79,17 @@ func (p *peer) send(f *wire.Frame) error {
 // run is the writer goroutine. It swaps the pending buffer for the spare,
 // sends the whole backlog in one write with the lock released, and keeps
 // the sent buffer as the next spare. On a write error it latches the
-// error, closes the connection (so the reader unregisters the peer) and
-// exits; it also exits once stopped.
+// error and closes the connection, so the reader unregisters the peer.
+// It exits once err is set.
 func (p *peer) run() {
 	var spare []byte
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		for len(p.pending) == 0 && !p.stopped {
+		for len(p.pending) == 0 && p.err == nil {
 			p.cond.Wait()
 		}
-		if p.stopped {
+		if p.err != nil {
 			return
 		}
 		out := p.pending
@@ -103,11 +99,10 @@ func (p *peer) run() {
 		_, err := p.conn.Write(out)
 		p.mu.Lock()
 		spare = out
-		if err != nil {
+		if err != nil && p.err == nil {
 			p.err = err
 			p.conn.Close()
 			p.cond.Broadcast()
-			return
 		}
 	}
 }
@@ -116,7 +111,9 @@ func (p *peer) run() {
 // unregistering the peer, so no append can follow.
 func (p *peer) stop() {
 	p.mu.Lock()
-	p.stopped = true
+	if p.err == nil {
+		p.err = errPeerStopped
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
