@@ -41,10 +41,8 @@ func startTCPChain(tb testing.TB) *tcpChain {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { relay.Close() })
-	for deadline := time.Now().Add(5 * time.Second); src.ConnectedChildren() < 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			tb.Fatal("relay never connected")
-		}
+	if !waitFor(tb, 5*time.Second, func() bool { return src.ConnectedChildren() == 1 }) {
+		tb.Fatal("relay never connected")
 	}
 	c, err := Subscribe("leaf", map[string]coherency.Requirement{"X": 60}, relay.Addr())
 	if err != nil {
@@ -197,7 +195,9 @@ func awaitBlocked(t *testing.T, p *peer, done *atomic.Int64, errc <-chan error) 
 
 // TestPublishBlocksOnStalledChild: a child that stops reading makes
 // Publish wait at the queue bound instead of dropping, and once the child
-// reads again every frame arrives, in order.
+// reads again every frame arrives, in order. The queue can only reach its
+// bound because publishes keep appending while the writer is stuck on the
+// full socket: no frame is written under the node's lock.
 func TestPublishBlocksOnStalledChild(t *testing.T) {
 	src, conn, p := stalledChild(t)
 	var done atomic.Int64

@@ -10,7 +10,7 @@ import (
 	"d3t/internal/tree"
 )
 
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
+func waitFor(t testing.TB, d time.Duration, cond func() bool) bool {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
@@ -304,10 +304,12 @@ func TestTCPFailoverToBackupParent(t *testing.T) {
 		v, _ := leaf.Value("X")
 		t.Fatalf("leaf never resynced after failover: holds %v", v)
 	}
-	// The source notices mid's departure only when its read of mid's
-	// connection hits EOF; until then a push to mid fails with a broken
-	// pipe. The leaf is registered (it resynced), so one child means mid
-	// has been dropped.
+	// The source notices mid's departure when its read of mid's connection
+	// hits EOF, or when mid's writer fails to send the 400 and closes the
+	// connection. Writes are asynchronous: a failed one is reported by the
+	// next publish that still finds mid registered, so publishing before
+	// mid is dropped could fail with a broken pipe. The leaf is registered
+	// (it resynced), so one child means mid has been dropped.
 	if !waitFor(t, 5*time.Second, func() bool { return source.ConnectedChildren() == 1 }) {
 		t.Fatalf("source still holds %d children after mid died", source.ConnectedChildren())
 	}
