@@ -14,22 +14,24 @@ import (
 
 	"d3t/internal/coherency"
 	"d3t/internal/repository"
+	"d3t/internal/wal"
 	"d3t/internal/wire"
 )
 
-// -update rewrites testdata/push_stream.bin from the current code. The
-// stream is the netio transport's byte-level contract with a dependent:
-// regenerate it only for a deliberate change of frames or framing.
-var update = flag.Bool("update", false, "rewrite testdata/push_stream.bin")
+// -update rewrites the stream goldens under testdata from the current
+// code. The streams are the netio transport's byte-level contract with a
+// dependent: regenerate them only for a deliberate change of frames or
+// framing.
+var update = flag.Bool("update", false, "rewrite the stream goldens under testdata")
 
 // sentinel is the last value published; each recorder stops at it.
 const sentinel = 1e6
 
-// recordPush reads frames off a raw child connection until the sentinel
-// update arrives, returning every byte read. A frame decoder on a tee
-// consumes exactly whole frames, so the recording ends on a frame
-// boundary.
-func recordPush(conn net.Conn) ([]byte, error) {
+// recordPush reads frames off a raw child connection until the
+// sentinels-th sentinel update arrives, returning every byte read. A
+// frame decoder on a tee consumes exactly whole frames, so the recording
+// ends on a frame boundary.
+func recordPush(conn net.Conn, sentinels int) ([]byte, error) {
 	var rec bytes.Buffer
 	dec := wire.NewDecoder(io.TeeReader(conn, &rec))
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -39,7 +41,9 @@ func recordPush(conn net.Conn) ([]byte, error) {
 			return rec.Bytes(), fmt.Errorf("after %d bytes: %w", rec.Len(), err)
 		}
 		if f.Kind == wire.KindUpdate && f.Value == sentinel {
-			return rec.Bytes(), nil
+			if sentinels--; sentinels == 0 {
+				return rec.Bytes(), nil
+			}
 		}
 	}
 }
@@ -84,7 +88,7 @@ func TestPushStreamGolden(t *testing.T) {
 		}
 		done := make(chan recording, 1)
 		go func() {
-			b, err := recordPush(conn)
+			b, err := recordPush(conn, 1)
 			done <- recording{b, err}
 		}()
 		return done
@@ -143,9 +147,14 @@ func TestPushStreamGolden(t *testing.T) {
 		}
 		got = append(got, res.b...)
 	}
+	checkGolden(t, "push_stream.bin", got)
+}
 
-	// The stream must exercise both data frame kinds, or the pin is
-	// vacuous.
+// checkGolden compares got with testdata/name byte for byte, rewriting
+// the file first under -update. The stream must exercise both data frame
+// kinds, or the pin is vacuous.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
 	kinds := map[wire.Kind]int{}
 	dec := wire.NewDecoder(bytes.NewReader(got))
 	var f wire.Frame
@@ -155,8 +164,7 @@ func TestPushStreamGolden(t *testing.T) {
 	if kinds[wire.KindUpdate] == 0 || kinds[wire.KindBatch] == 0 {
 		t.Fatalf("stream holds %v frames, want update and batch frames", kinds)
 	}
-
-	path := filepath.Join("testdata", "push_stream.bin")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -174,6 +182,122 @@ func TestPushStreamGolden(t *testing.T) {
 		for at < len(got) && at < len(want) && got[at] == want[at] {
 			at++
 		}
-		t.Fatalf("push stream differs from %s at byte %d (got %d bytes, want %d)", path, at, len(got), len(want))
+		t.Fatalf("stream differs from %s at byte %d (got %d bytes, want %d)", path, at, len(got), len(want))
 	}
+}
+
+// pushItems are the items of the push-stream golden, each starting at
+// 100; relay 1 serves all of them.
+var pushItems = []string{"A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"}
+
+// startRelay starts relay 1 under a raw parent: a listener the test
+// plays the parent on. The relay serves pushItems to raw child 2 (every
+// item, tolerance 1) and raw child 3 (A0..A3, tolerance 2.5). It returns
+// the relay, the parent's end of the relay's push connection (its hello
+// already read) and the two children's connections, both registered.
+func startRelay(t *testing.T, d *wal.Options) (*Node, net.Conn, []net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	relay, err := Start(relayConfig(ln.Addr().String(), d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	parent, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { parent.Close() })
+	var f wire.Frame
+	if err := wire.NewDecoder(parent).Decode(&f); err != nil || f.Kind != wire.KindHello || f.From != 1 {
+		t.Fatalf("relay hello: %v %+v", err, f)
+	}
+	var kids []net.Conn
+	for _, id := range []repository.ID{2, 3} {
+		conn := dialNode(t, relay)
+		hello(t, conn, id)
+		kids = append(kids, conn)
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return relay.ConnectedChildren() == 2 }) {
+		t.Fatal("children never registered")
+	}
+	return relay, parent, kids
+}
+
+// relayConfig is startRelay's relay, its parent at addr.
+func relayConfig(addr string, d *wal.Options) NodeConfig {
+	serving := make(map[string]coherency.Requirement)
+	wide := make(map[string]coherency.Requirement)
+	narrow := make(map[string]coherency.Requirement)
+	initial := make(map[string]float64)
+	for i, x := range pushItems {
+		serving[x], wide[x], initial[x] = 0.5, 1, 100
+		if i < 4 {
+			narrow[x] = 2.5
+		}
+	}
+	return NodeConfig{
+		ID:         1,
+		Serving:    serving,
+		Children:   map[repository.ID]map[string]coherency.Requirement{2: wide, 3: narrow},
+		Parents:    []string{addr},
+		Initial:    initial,
+		Durability: d,
+	}
+}
+
+// recordKids records every child's stream up to its sentinels-th
+// sentinel, concurrently, and returns the streams concatenated in child
+// order.
+func recordKids(t *testing.T, kids []net.Conn, sentinels int) []byte {
+	t.Helper()
+	type recording struct {
+		b   []byte
+		err error
+	}
+	recs := make([]chan recording, len(kids))
+	for i, conn := range kids {
+		recs[i] = make(chan recording, 1)
+		go func() {
+			b, err := recordPush(conn, sentinels)
+			recs[i] <- recording{b, err}
+		}()
+	}
+	var got []byte
+	for i, rec := range recs {
+		res := <-rec
+		if res.err != nil {
+			t.Fatalf("child %d: %v", i+2, res.err)
+		}
+		got = append(got, res.b...)
+	}
+	return got
+}
+
+// pushInput is the push-stream golden: two source streams back to back,
+// each ending with a sentinel update of A0.
+func pushInput(t *testing.T) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "push_stream.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRelayStreamGolden pins every byte a relay pushes to two raw
+// children when its parent sends the push-stream golden in one write:
+// a relay's fan-out of a backlog, frame after received frame. The golden
+// is child 2's stream followed by child 3's, each up to the input's
+// second sentinel.
+func TestRelayStreamGolden(t *testing.T) {
+	_, parent, kids := startRelay(t, nil)
+	if _, err := parent.Write(pushInput(t)); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "relay_stream.bin", recordKids(t, kids, 2))
 }
