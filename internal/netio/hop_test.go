@@ -2,6 +2,7 @@ package netio
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"d3t/internal/coherency"
 	"d3t/internal/repository"
+	"d3t/internal/wal"
 	"d3t/internal/wire"
 )
 
@@ -111,6 +113,85 @@ func BenchmarkTCPPublish(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		d.round(b)
+	}
+}
+
+// BenchmarkTCPRelayDurable times one 16-update batch publish through a
+// relay that logs to a write-ahead log (default policy) on to a client
+// session, over loopback TCP. Eight batches are in flight at a time, so
+// the relay's reader holds backlogs and applies them as drains.
+func BenchmarkTCPRelayDurable(b *testing.B) {
+	const width, window = 16, 8
+	items := make([]string, width)
+	tol := make(map[string]coherency.Requirement)
+	wants := make(map[string]coherency.Requirement)
+	initial := make(map[string]float64)
+	for i := range items {
+		items[i] = fmt.Sprintf("X%02d", i)
+		tol[items[i]], wants[items[i]], initial[items[i]] = 10, 60, 0
+	}
+	src, err := Start(NodeConfig{
+		ID:       repository.SourceID,
+		Children: map[repository.ID]map[string]coherency.Requirement{1: tol},
+		Initial:  initial,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	relay, err := Start(NodeConfig{ID: 1, Serving: tol, Parents: []string{src.Addr()}, Initial: initial,
+		Durability: &wal.Options{Dir: b.TempDir()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer relay.Close()
+	if !waitFor(b, 5*time.Second, func() bool { return src.ConnectedChildren() == 1 }) {
+		b.Fatal("relay never connected")
+	}
+	c, err := Subscribe("leaf", wants, relay.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
+	// await reads the session's updates until the last item holds v.
+	await := func(v float64) {
+		timeout.Reset(5 * time.Second)
+		for {
+			select {
+			case u := <-c.Updates():
+				if u.Item == items[width-1] && u.Value == v {
+					return
+				}
+			case <-timeout.C:
+				b.Fatalf("%s=%v never reached the session", items[width-1], v)
+			}
+		}
+	}
+	await(0) // the admission resync
+
+	ups := make([]Update, width)
+	v, inFlight := 0.0, 0
+	b.ReportAllocs()
+	for b.Loop() {
+		v += 100
+		for j := range ups {
+			ups[j] = Update{Item: items[j], Value: v}
+		}
+		if err := src.PublishBatch(ups); err != nil {
+			b.Fatal(err)
+		}
+		if inFlight++; inFlight == window {
+			await(v)
+			inFlight = 0
+		}
+	}
+	if inFlight > 0 {
+		await(v)
+	}
+	if err := relay.DurabilityErr(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -159,30 +159,33 @@ type Node struct {
 
 // transport adapts the core's decisions to wire frames. Every call
 // happens under Node.mu and nothing here touches a socket: an apply pass
-// collects its copies, and flush appends the pass's frames to the peers'
-// queues, after the pass's WAL commit. Per dependent the pass yields one
-// frame — the plain update frame for a single copy, the multi-update
-// batch frame for several. Client frames follow in decision order.
+// collects its copies, and flush appends them to the peers' queues, after
+// the pass's WAL commit.
+//
+// A pass is a run of segments, one per applied frame (a relay's drain
+// applies several). Per segment and dependent the pass yields one frame —
+// the plain update frame for a single copy, the multi-update batch frame
+// for several — so the frames a dependent receives do not depend on how
+// many segments one pass held. Client frames follow in decision order.
 type transport struct {
 	n *Node
-	// pass numbers apply passes; a peer stamped with the current pass
-	// already has its group.
+	// pass numbers segments; a peer stamped with the current one already
+	// has its group.
 	pass uint64
-	// pend collects the pass's dependent copies in decision order, each
-	// tagged with its dependent's index in groups; groups lists the
-	// pass's dependents in first-decision order.
+	// pend collects the unflushed dependent copies in decision order, each
+	// tagged with its group's index in groups; groups lists each
+	// segment's dependents in first-decision order, segment after segment.
 	pend   []depSend
 	groups []depGroup
-	// ups is flush's scratch: pend regrouped by dependent.
+	// ups is flush's scratch: pend regrouped by group.
 	ups []Update
-	// cpend collects the pass's client frames.
+	// cpend collects the unflushed client frames.
 	cpend []clientSend
 	// err records the first child-push failure of an apply pass.
 	err error
-	// tid/hops are the pass's trace context: the sampled id and the hop
-	// stamps accumulated so far (ending with this node's own receipt).
-	// Zero for an untraced pass; only single-update frames carry them —
-	// a pass that batches drops the trace there.
+	// tid/hops are the current segment's trace context: the sampled id
+	// and the hop stamps accumulated so far (ending with this node's own
+	// receipt). Zero for an untraced segment.
 	tid  uint64
 	hops []obs.Hop
 }
@@ -193,12 +196,16 @@ type depSend struct {
 	up    Update
 }
 
-// depGroup is one dependent's share of a pass: n copies, placed at
-// ups[start:start+n] by flush.
+// depGroup is one dependent's share of a segment: n copies, placed at
+// ups[start:start+n] by flush, and the segment's trace context. Only a
+// single-copy group's update frame carries the trace; a batch frame drops
+// it.
 type depGroup struct {
 	dep      repository.ID
 	p        *peer
 	n, start int
+	tid      uint64
+	hops     []obs.Hop
 }
 
 // clientSend is one collected client frame.
@@ -223,25 +230,32 @@ func (t *transport) SendToDependent(dep repository.ID, item string, v float64, r
 	}
 	if p.pass != t.pass {
 		p.pass, p.group = t.pass, len(t.groups)
-		t.groups = append(t.groups, depGroup{dep: dep, p: p})
+		t.groups = append(t.groups, depGroup{dep: dep, p: p, tid: t.tid, hops: t.hops})
 	}
 	t.groups[p.group].n++
 	t.pend = append(t.pend, depSend{p.group, Update{Item: item, Value: v}})
 	return true
 }
 
-// begin opens an apply pass.
+// begin opens an apply pass with an untraced first segment.
 func (t *transport) begin() {
-	t.pass++
-	t.pend, t.groups, t.cpend = t.pend[:0], t.groups[:0], t.cpend[:0]
 	t.err = nil
-	t.tid, t.hops = 0, nil
+	t.segment(0, nil)
 }
 
-// flush queues the pass's frames: per dependent (in first-decision
-// order) a single update frame or one batch frame, then the client
-// frames. A counting sort regroups the copies, so a pass costs
-// O(copies) and allocates nothing once the scratch has grown.
+// segment starts the pass's next segment, with trace context tid/hops:
+// copies decided from here on group into frames of their own.
+func (t *transport) segment(tid uint64, hops []obs.Hop) {
+	t.pass++
+	t.tid, t.hops = tid, hops
+}
+
+// flush queues the frames collected since the last flush: per group (in
+// segment order, and in first-decision order within one) a single update
+// frame or one batch frame, then the client frames. A counting sort
+// regroups the copies, so a flush costs O(copies) and allocates nothing
+// once the scratch has grown. A segment must start before the next copy
+// is decided.
 func (t *transport) flush() {
 	off := 0
 	for i := range t.groups {
@@ -260,7 +274,7 @@ func (t *transport) flush() {
 		var err error
 		if len(ups) == 1 {
 			err = g.p.send(&wire.Frame{Kind: wire.KindUpdate, Item: ups[0].Item, Value: ups[0].Value,
-				TraceID: t.tid, Hops: t.hops})
+				TraceID: g.tid, Hops: g.hops})
 		} else {
 			err = g.p.send(&wire.Frame{Kind: wire.KindBatch, Ups: ups})
 		}
@@ -271,6 +285,7 @@ func (t *transport) flush() {
 	for _, c := range t.cpend {
 		c.p.send(&wire.Frame{Kind: wire.KindUpdate, Item: c.item, Value: c.v, Resync: c.resync})
 	}
+	t.pend, t.groups, t.cpend = t.pend[:0], t.groups[:0], t.cpend[:0]
 }
 
 func (t *transport) SendToClient(s *dnode.Session, item string, v float64, resync bool) {
@@ -517,7 +532,12 @@ func (n *Node) Publish(item string, value float64) error {
 		return errors.New("netio: Publish on a non-source node")
 	}
 	tid, hops := n.sampleTrace(item)
-	return n.apply(item, value, tid, hops)
+	f := wire.Frame{Kind: wire.KindUpdate, Item: item, Value: value}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tr.begin()
+	n.applyFrame(&f, tid, hops)
+	return n.finish()
 }
 
 // sampleTrace asks the tracer whether this publish rides a trace; a
@@ -545,7 +565,12 @@ func (n *Node) PublishBatch(ups []Update) error {
 	if len(n.cfg.Parents) > 0 {
 		return errors.New("netio: PublishBatch on a non-source node")
 	}
-	return n.applyBatch(ups)
+	f := wire.Frame{Kind: wire.KindBatch, Ups: ups}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tr.begin()
+	n.applyFrame(&f, 0, nil)
+	return n.finish()
 }
 
 // Value returns the node's current copy of item.
@@ -743,9 +768,10 @@ func (n *Node) RedirectedSessions() int {
 	return n.core.Redirected()
 }
 
-// parentLoop applies pushes from the parent. When the connection dies —
-// the parent crashed or closed — it fails over to the configured backups:
-// real connection errors are the detection signal in the TCP runtime, the
+// parentLoop applies pushes from the parent, a drain at a time. When the
+// connection dies — the parent crashed or closed, or sent a frame that
+// fails to decode — it fails over to the configured backups: real
+// connection errors are the detection signal in the TCP runtime, the
 // counterpart of the simulator's modeled silence window.
 //
 // A backup that accepts the dial but drops the connection before sending
@@ -759,7 +785,12 @@ func (n *Node) parentLoop(conn net.Conn) {
 	framed := false // a frame arrived on the current connection
 	var f wire.Frame
 	for {
-		if err := dec.Decode(&f); err != nil {
+		err := dec.Decode(&f)
+		if err == nil {
+			framed, backoff = true, 50*time.Millisecond
+			err = n.drain(br, dec, &f)
+		}
+		if err != nil {
 			n.untrack(conn)
 			if !framed {
 				time.Sleep(backoff)
@@ -773,25 +804,46 @@ func (n *Node) parentLoop(conn net.Conn) {
 			}
 			br.Reset(next)
 			conn, dec, framed = next, wire.NewDecoder(br), false
-			continue
-		}
-		framed, backoff = true, 50*time.Millisecond
-		switch f.Kind {
-		case wire.KindUpdate:
-			n.mu.Lock()
-			n.delivered++
-			n.mu.Unlock()
-			tid, hops := n.noteArrival(&f)
-			n.apply(f.Item, f.Value, tid, hops)
-		case wire.KindBatch:
-			// A batch stays a batch downstream: one apply pass, one frame
-			// per child.
-			n.mu.Lock()
-			n.delivered += len(f.Ups)
-			n.mu.Unlock()
-			n.applyBatch(f.Ups)
 		}
 	}
+}
+
+// drain applies f, and after it every frame br already holds whole,
+// under one hold of Node.mu: one apply pass with a segment per frame, so
+// each dependent still receives one frame per received frame, in order.
+// It never reads the socket — wire.FrameBuffered vouches for each further
+// frame before it is decoded — so the lock is never held across a read.
+// With a log the whole drain is one group commit, and its frames are
+// queued after it; without one each frame's copies are queued as soon as
+// it is applied. A frame that fails to decode ends the drain, after the
+// frames before it are committed and queued, and its error is returned.
+func (n *Node) drain(br *bufio.Reader, dec *wire.Decoder, f *wire.Frame) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tr.begin()
+	var err error
+	for {
+		if f.Kind == wire.KindUpdate || f.Kind == wire.KindBatch {
+			if f.Kind == wire.KindUpdate {
+				n.delivered++
+			} else {
+				n.delivered += len(f.Ups)
+			}
+			tid, hops := n.noteArrival(f)
+			n.applyFrame(f, tid, hops)
+			if n.dur == nil {
+				n.tr.flush()
+			}
+		}
+		if !wire.FrameBuffered(br) {
+			break
+		}
+		if err = dec.Decode(f); err != nil {
+			break
+		}
+	}
+	n.finish()
+	return err
 }
 
 // failover dials the backup parents in order and performs a resync hello
@@ -862,38 +914,34 @@ func (n *Node) MetricsAddr() string {
 	return n.metrics.Addr()
 }
 
-// apply records the value locally and forwards it — to dependents and
-// client sessions both — through the core's filter pipeline. tid/hops
-// carry the update's trace context (zero when untraced). The WAL commit
-// comes before flush queues the pass's frames, so a copy is logged
-// before it can be sent.
-func (n *Node) apply(item string, value float64, tid uint64, hops []obs.Hop) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tr.begin()
-	n.tr.tid, n.tr.hops = tid, hops
-	n.core.Apply(item, value, &n.tr)
-	n.dur.Append(item, value)
-	n.dur.Commit()
-	n.tr.flush()
-	return n.tr.err
+// applyFrame runs one update or batch frame through the core's filter
+// pipeline — to dependents and client sessions both — as a segment of the
+// open pass, with trace context tid/hops (zero when untraced), and
+// appends each applied update to the log. A batch applies in one
+// segment: same-item updates coalesce to the newest value (a value
+// superseded within its own batch is never disseminated), and each
+// dependent gets the survivors' copies as one frame. Caller holds
+// Node.mu, between begin and finish.
+func (n *Node) applyFrame(f *wire.Frame, tid uint64, hops []obs.Hop) {
+	n.tr.segment(tid, hops)
+	if f.Kind == wire.KindUpdate {
+		n.core.Apply(f.Item, f.Value, &n.tr)
+		n.dur.Append(f.Item, f.Value)
+		return
+	}
+	n.cfg.Obs.Batch(len(f.Ups))
+	for _, i := range dnode.CoalesceBatch(len(f.Ups), func(i int) string { return f.Ups[i].Item }) {
+		n.core.Apply(f.Ups[i].Item, f.Ups[i].Value, &n.tr)
+		n.dur.Append(f.Ups[i].Item, f.Ups[i].Value)
+	}
 }
 
-// applyBatch runs a whole batch through the pipeline in one pass:
-// same-item updates coalesce to the newest value (a value superseded
-// within its own batch is never disseminated), each survivor applies
-// through the core, and the collected copies flush as one frame per
-// dependent.
-func (n *Node) applyBatch(ups []Update) error {
-	n.cfg.Obs.Batch(len(ups))
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tr.begin()
-	for _, i := range dnode.CoalesceBatch(len(ups), func(i int) string { return ups[i].Item }) {
-		n.core.Apply(ups[i].Item, ups[i].Value, &n.tr)
-		n.dur.Append(ups[i].Item, ups[i].Value)
-	}
-	n.dur.Commit() // one group commit per batch, after every Apply of it
+// finish closes an apply pass: one group commit of every update appended
+// since begin, then the pass's unflushed frames. The commit comes first,
+// so a copy is logged before it can be sent. It reports the pass's first
+// child-push failure.
+func (n *Node) finish() error {
+	n.dur.Commit()
 	n.tr.flush()
 	return n.tr.err
 }

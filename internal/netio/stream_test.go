@@ -192,17 +192,20 @@ var pushItems = []string{"A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"}
 
 // startRelay starts relay 1 under a raw parent: a listener the test
 // plays the parent on. The relay serves pushItems to raw child 2 (every
-// item, tolerance 1) and raw child 3 (A0..A3, tolerance 2.5). It returns
-// the relay, the parent's end of the relay's push connection (its hello
-// already read) and the two children's connections, both registered.
-func startRelay(t *testing.T, d *wal.Options) (*Node, net.Conn, []net.Conn) {
+// item, tolerance 1) and raw child 3 (A0..A3, tolerance 2.5), and fails
+// over to backups. It returns the relay, the parent's end of the relay's
+// push connection (its hello already read) and the two children's
+// connections, both registered.
+func startRelay(t *testing.T, d *wal.Options, backups ...string) (*Node, net.Conn, []net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	relay, err := Start(relayConfig(ln.Addr().String(), d))
+	cfg := relayConfig(ln.Addr().String(), d)
+	cfg.Backups = backups
+	relay, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -43,6 +44,19 @@ const maxInterned = 1 << 12
 // readChunk bounds how far the body buffer grows ahead of the bytes
 // actually received.
 const readChunk = 64 << 10
+
+// FrameBuffered reports whether br already holds a whole frame: the
+// header and as many body bytes as it declares. Decode on a decoder
+// reading from br then takes the frame from the buffer without reading
+// br's source, so a caller can decode a backlog under a lock that must
+// not wait on the network. It never reads itself.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < headerSize {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= headerSize+uint64(binary.LittleEndian.Uint32(hdr))
+}
 
 // Decode reads the next frame into f, replacing f's previous contents.
 // A clean connection close between frames returns io.EOF verbatim; a

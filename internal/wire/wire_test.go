@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -193,6 +194,61 @@ func TestDecoderStream(t *testing.T) {
 	}
 	if err := dec.Decode(&f); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
+	}
+}
+
+// onceReader hands out its bytes in one read and fails every read after.
+type onceReader struct{ b []byte }
+
+func (r *onceReader) Read(p []byte) (int, error) {
+	if r.b == nil {
+		return 0, errors.New("read past the first fill")
+	}
+	n := copy(p, r.b)
+	r.b = nil
+	return n, nil
+}
+
+// TestFrameBuffered: every frame FrameBuffered reports whole decodes
+// without reading the source again, and a frame cut short — in its
+// header or its body — is not reported whole.
+func TestFrameBuffered(t *testing.T) {
+	frames := []Frame{
+		{Kind: KindUpdate, Item: "X", Value: 1},
+		{Kind: KindBatch, Ups: []Update{{Item: "X", Value: 2}, {Item: "Y", Value: 3}}},
+		{Kind: KindUpdate, Item: "Y", Value: 4},
+	}
+	var buf []byte
+	var err error
+	lastStart := 0 // where the last frame begins
+	for i := range frames {
+		lastStart = len(buf)
+		if buf, err = AppendFrame(buf, &frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cut := range []int{len(buf), len(buf) - 1, lastStart + headerSize - 1, lastStart} {
+		br := bufio.NewReader(&onceReader{b: buf[:cut]})
+		br.Peek(1) // the first fill
+		dec := NewDecoder(br)
+		var f Frame
+		got := 0
+		for FrameBuffered(br) {
+			if err := dec.Decode(&f); err != nil {
+				t.Fatalf("cut at %d, frame %d: %v", cut, got, err)
+			}
+			if !frameEqual(&f, &frames[got]) {
+				t.Fatalf("cut at %d: frame %d decoded to %+v, want %+v", cut, got, f, frames[got])
+			}
+			got++
+		}
+		want := 2
+		if cut == len(buf) {
+			want = 3
+		}
+		if got != want {
+			t.Errorf("cut at %d of %d bytes: %d frames reported whole, want %d", cut, len(buf), got, want)
+		}
 	}
 }
 
