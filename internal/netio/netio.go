@@ -15,12 +15,15 @@
 // connection-error machinery as a crash.
 //
 // The hop: the node's mutex covers deciding, logging and queueing, never
-// the socket. Every outbound connection (a dependent's push connection,
-// an admitted client session) has a writer goroutine that sends all the
-// frames queued since its last write with one write call, and every
-// socket decoder reads through a 64 KiB buffer. A full socket holds its
-// queue at a fixed bound, which then blocks the applying goroutine as a
-// blocking write used to. Nothing is dropped, merged or reordered.
+// the socket. Every socket decoder reads through a 64 KiB buffer, and a
+// relay applies all the frames that buffer already holds whole under one
+// hold of the mutex — a drain — with one write-ahead-log commit for it.
+// Each received frame still yields its own frames downstream. Every
+// outbound connection (a dependent's push connection, an admitted client
+// session) has a writer goroutine that sends all the frames queued since
+// its last write with one write call. A full socket holds its queue at a
+// fixed bound, which then blocks the applying goroutine as a blocking
+// write used to. Nothing is dropped, merged or reordered.
 //
 // The filtering, last-pushed-value tracking, session admission and
 // resync rules live in the transport-agnostic core (internal/node),
@@ -111,10 +114,11 @@ type NodeConfig struct {
 	// Durability, when set, backs the node's core with a write-ahead log
 	// and periodic snapshots under Durability.Dir/repoNNN (so one base
 	// directory serves a whole localhost cluster), group-committed per
-	// received frame. Start recovers whatever state the directory already
-	// holds — recovered values and edge filter state override Initial, so
-	// a restarted node resumes exactly where the dead process stopped
-	// instead of rejoining cold.
+	// publish at the source and per drain at a relay (see drain). Start
+	// recovers whatever state the directory already holds — recovered
+	// values and edge filter state override Initial, so a restarted node
+	// resumes exactly where the dead process stopped instead of rejoining
+	// cold.
 	Durability *wal.Options
 }
 
