@@ -145,10 +145,11 @@ func TestCommDelayIsLatency(t *testing.T) {
 	}
 }
 
-// TestClusterGoroutines pins the goroutine budget: one worker per (node,
-// shard) and nothing per edge; armed detection adds a heartbeater per
-// node, a watchdog per non-source node and one session watchdog; a
-// failover adds nothing; Stop returns to the baseline.
+// TestClusterGoroutines pins the goroutine budget: one worker per relay
+// (node, shard), none at the source (it applies in its publishers) and
+// nothing per edge; armed detection adds a heartbeater per node, a
+// watchdog per non-source node and one session watchdog; a failover adds
+// nothing; Stop returns to the baseline.
 func TestClusterGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	expect := func(what string, want int) {
@@ -161,7 +162,7 @@ func TestClusterGoroutines(t *testing.T) {
 	o, _ := multiOverlay(t, 9)
 	c := NewCluster(o, Options{Shards: 4})
 	c.Start()
-	expect("detection off", base+4*len(o.Nodes))
+	expect("detection off", base+4*(len(o.Nodes)-1))
 	c.Stop()
 	expect("after Stop", base)
 
@@ -175,7 +176,7 @@ func TestClusterGoroutines(t *testing.T) {
 	})
 	c.Seed("X", 100)
 	c.Start()
-	armed := base + 3 /* workers */ + 3 /* heartbeaters */ + 2 /* watchdogs */ + 1 /* session watchdog */
+	armed := base + 2 /* relay workers */ + 3 /* heartbeaters */ + 2 /* watchdogs */ + 1 /* session watchdog */
 	expect("detection armed", armed)
 	c.Crash(1)
 	clk.Advance(2 * time.Hour)

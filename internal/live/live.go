@@ -1,9 +1,10 @@
 // Package live runs the paper's distributed dissemination algorithm in
-// real time on goroutines: every overlay node is a goroutine pool, push
-// connections are channels, and communication/computation delays are real
-// (scaled) durations. It demonstrates the same filtering logic as the
-// discrete-event simulator outside simulated time — the "evaluation in a
-// real setting" the paper leaves as future work — on a single machine.
+// real time on goroutines: every relay is a goroutine pool, the source
+// applies publishes in the caller, push connections are channels, and
+// communication/computation delays are real (scaled) durations. It
+// demonstrates the same filtering logic as the discrete-event simulator
+// outside simulated time — the "evaluation in a real setting" the paper
+// leaves as future work — on a single machine.
 //
 // The protocol state machine itself — last-pushed-value tracking, the
 // Eq. 3+7 filters for dependents and client sessions, resync after
@@ -29,18 +30,38 @@
 //
 // # The hop
 //
-// An edge is the dependent's inbox: a parent's worker sends a fan-out
-// pass's batch straight into the (dependent, shard) inbox, with no
-// forwarding goroutine or edge channel in between, so a copy costs one
-// channel operation per hop. Sends and receives try the channel alone
-// first and only fall back to a select with the cluster's stop channel
-// when they would block (send, recv): the stop channel is shared by every
-// goroutine and must stay off the hot path. CommDelay is a per-hop
-// latency, the simulator's model: the sender stamps each batch with the
-// time it is due at the receiver, and the receiving worker waits for it
-// (Stop wakes the wait), so batches in flight on one edge overlap instead
-// of queueing behind each other. A single-update batch carries its update
-// inline, so a steady stream of single publishes allocates nothing.
+// The source applies in the caller: Publish and PublishBatch run the
+// source shard's pass in the calling goroutine, under a per-shard publish
+// mutex that keeps each edge FIFO, so the source has no inbox and no
+// worker. An edge is the dependent's inbox: a pass sends its batches
+// straight into the (dependent, shard) inbox, with no forwarding goroutine
+// or edge channel in between, so a copy costs one channel operation per
+// hop. Sends and receives try the channel alone first and only fall back
+// to a select with the cluster's stop channel when they would block
+// (send, recv): the stop channel is shared by every goroutine and must
+// stay off the hot path. CommDelay is a per-hop latency, the simulator's
+// model: the sender stamps each batch with the time it is due at the
+// receiver, and the receiving worker waits for it (Stop wakes the wait),
+// so batches in flight on one edge overlap instead of queueing behind
+// each other. A single-update batch carries its update inline; a larger
+// one carries a pooled fixed-capacity slice that the receiving worker
+// returns after its pass, so a steady stream of publishes allocates
+// nothing.
+//
+// # Drains
+//
+// A relay's worker that wakes takes every batch already queued in its
+// inbox — a drain — and waits for the latest due stamp among them, so no
+// batch is applied before it is due. It applies them in arrival order
+// under one topoMu read hold and one shard mutex hold, with one
+// write-ahead-log commit for the drain, then sends one merged batch per
+// dependent: the copies the drain produced for that dependent, in
+// decision order. A merge never coalesces (CoalesceBatch runs only on a
+// published batch), so each update is still decided on its own and the
+// decisions match a one-at-a-time run. A merged batch carries the
+// earliest birth stamp of its inputs, and a sampled batch (a trace id) is
+// never merged with another, so a trace follows its own update. netio's
+// relays drain their read buffer by the same rule.
 package live
 
 import (
@@ -65,17 +86,20 @@ type Options struct {
 	// each batch a node hands to a dependent (updates, keep-alives,
 	// failover syncs) is due there CommDelay after it was sent, and
 	// batches in flight on one edge overlap rather than queue behind each
-	// other. CompDelay is the per-copy processing cost at a node. Both may
-	// be zero for fastest delivery.
+	// other. CompDelay is the per-copy processing cost at a node, paid
+	// before each send; the source's is charged to the Publish caller.
+	// Both may be zero for fastest delivery.
 	CommDelay time.Duration
 	CompDelay time.Duration
 	// OnDeliver, when set, observes every delivery at a repository. It is
 	// called from node goroutines and must be safe for concurrent use.
 	OnDeliver func(repo repository.ID, item string, value float64)
-	// Buffer sizes every (node, shard) inbox and every session's delivery
-	// channel (default 256). The inbox is the only buffer on an edge —
-	// parents send straight into it — so a full inbox applies
-	// backpressure to every sender, mirroring a congested node.
+	// Buffer sizes every relay (node, shard) inbox and every session's
+	// delivery channel (default 256). The inbox is the only buffer on an
+	// edge — parents send straight into it — so a full inbox applies
+	// backpressure to every sender, mirroring a congested node; Publish
+	// blocks while a source dependent's inbox is full. A relay's drain
+	// takes at most what its inbox holds.
 	Buffer int
 
 	// Shards splits every node into per-item-shard cores fed by batch
@@ -122,9 +146,11 @@ type Options struct {
 
 	// Durability, when set, gives every (node, shard) core a write-ahead
 	// log with periodic snapshots under Durability.Dir (one subdirectory
-	// per repoNNN/shardNN), group-committed per received batch. It is
-	// honored by NewDurableCluster, which also recovers whatever state the
-	// directory already holds; NewCluster ignores it.
+	// per repoNNN/shardNN), group-committed once per publish at the source
+	// and once per drain at a relay, so on a relay SnapshotEvery counts
+	// drains and a segment holds up to SnapshotEvery inboxes' worth of
+	// batches. It is honored by NewDurableCluster, which also recovers
+	// whatever state the directory already holds; NewCluster ignores it.
 	Durability *wal.Options
 }
 
@@ -150,9 +176,9 @@ type Cluster struct {
 	// topoMu guards the overlay wiring (Parents/Dependents/Serving) and
 	// session placement: failure repair rewires the overlay while node
 	// goroutines read it, and migration moves sessions between node
-	// cores. Lock order is topoMu, then a node's mu, then a shard's mu,
-	// then a session's mu; no path may acquire an earlier mutex while
-	// holding a later one.
+	// cores. Lock order is a source shard's pub, then topoMu, then a
+	// node's mu, then a shard's mu, then a session's mu; no path may
+	// acquire an earlier mutex while holding a later one.
 	topoMu    sync.RWMutex
 	failovers int
 
@@ -168,14 +194,17 @@ type upd struct {
 	value float64
 }
 
-// batch is the unit every channel carries: all the updates one fan-out
-// pass produced for one (dependent, shard) edge, or a keep-alive. A
-// single-update batch carries its update inline (one) and allocates
-// nothing; only a batch of two or more owns an ups slice. due is the
-// real time (nanoseconds on Cluster.epoch) the receiver may handle the
-// batch at, 0 without a CommDelay. The observability stamps (sent, born,
-// tid) are zero unless an obs tree is attached; failover sync sends leave
-// them zero so repair pushes never pollute the hop histograms.
+// batch is the unit every channel carries: the updates one pass produced
+// for one (dependent, shard) edge, or a keep-alive. A single-update batch
+// carries its update inline (one) and allocates nothing; a batch of two
+// or more that crosses an edge holds a pooled ups slice of capacity
+// mergeCap, which the receiving worker returns. A published batch the
+// source applies in the caller may hold any ups slice, since it crosses
+// no edge. due is the real time (nanoseconds on Cluster.epoch) the
+// receiver may handle the batch at, 0 without a CommDelay. The
+// observability stamps (sent, born, tid) are zero unless an obs tree is
+// attached; failover sync sends leave them zero so repair pushes never
+// pollute the hop histograms.
 type batch struct {
 	from      repository.ID
 	heartbeat bool
@@ -200,13 +229,36 @@ func (b *batch) updates() []upd {
 	return b.one[:]
 }
 
+// mergeCap is the capacity of a pooled ups slice: a batch holds at most
+// this many updates, and a pass's next copy for the same dependent opens
+// another batch.
+const mergeCap = 32
+
+// upsPool recycles the ups arrays of multi-update batches: a sender takes
+// one when a batch gains its second update and the receiving worker puts
+// it back after its pass, so merging allocates nothing in steady state.
+var upsPool = sync.Pool{New: func() any { return new([mergeCap]upd) }}
+
 // add appends u to a batch that holds at least one update, moving it onto
-// a slice at its second.
-func (b *batch) add(u upd) {
-	if b.ups == nil {
-		b.ups = append(make([]upd, 0, 4), b.one[0])
+// a pooled slice at its second. It reports false, leaving the batch as it
+// was, when the batch is full.
+func (b *batch) add(u upd) bool {
+	switch {
+	case b.ups == nil:
+		b.ups = append(upsPool.Get().(*[mergeCap]upd)[:0], b.one[0])
+	case len(b.ups) == mergeCap:
+		return false
 	}
 	b.ups = append(b.ups, u)
+	return true
+}
+
+// release returns a received batch's pooled ups array.
+func (b *batch) release() {
+	if b.ups != nil {
+		upsPool.Put((*[mergeCap]upd)(b.ups[:mergeCap]))
+		b.ups = nil
+	}
 }
 
 // node is one overlay repository: per-shard cores and channels, plus the
@@ -243,8 +295,9 @@ type node struct {
 }
 
 // nodeShard is one item partition of a node: its own core (values,
-// per-edge filter state for the shard's items), batch inbox, and out
-// edges — each dependent's inbox for the same shard.
+// per-edge filter state for the shard's items), batch inbox (nil at the
+// source, which applies in the caller), and out edges — each dependent's
+// inbox for the same shard.
 type nodeShard struct {
 	mu   sync.Mutex
 	core *dnode.Core
@@ -254,11 +307,10 @@ type nodeShard struct {
 	// dur is the shard's write-ahead log glue (nil without durability);
 	// it is guarded by mu, the same lock that guards the core it shadows.
 	dur *dnode.Durable
-	// sends is the worker's per-dependent grouping scratch, reused across
-	// handleBatch passes (only the shard's own worker touches it). The
-	// ups slices inside are NOT reused: ownership transfers to the
-	// receiving shard on send.
-	sends []depSend
+	// pub serializes publishes on a source shard, so each edge stays FIFO
+	// from apply to send. It is held across the pass's sends, which give
+	// up once the cluster stops; only Stop takes it otherwise.
+	pub sync.Mutex
 }
 
 // sessionCore returns the mutex and core that own the node's client
@@ -275,26 +327,47 @@ func (n *node) shardOf(item string) *nodeShard {
 	return n.shards[dnode.ShardOf(item, len(n.shards))]
 }
 
-// pendSend is one collected dependent copy awaiting the post-lock flush.
-type pendSend struct {
-	ch chan batch
-	u  upd
-}
-
-// depSend is one flushed per-dependent batch.
+// depSend is one per-dependent batch awaiting the post-lock flush.
 type depSend struct {
 	ch chan batch
 	b  batch
 }
 
-// transport adapts one core's decisions to channels. Dependent sends are
-// collected and flushed after the locks drop (a full peer inbox applies
-// backpressure and must not be awaited under a mutex); session pushes
-// are non-blocking and happen inline.
+// transport adapts one core's decisions to channels. Dependent copies are
+// grouped into batches as they are decided and flushed after the locks
+// drop (a full peer inbox applies backpressure and must not be awaited
+// under a mutex); session pushes are non-blocking and happen inline.
+//
+// A pass is a run of segments: one per traced batch it applies, and one
+// per run of untraced batches between them. Per segment and dependent
+// the copies go into one batch (more if they exceed mergeCap), so
+// untraced batches merge while a traced one keeps its own batches and
+// trace id.
 type transport struct {
-	c       *Cluster
-	sh      *nodeShard // nil for the dedicated session core
-	pending []pendSend
+	c  *Cluster
+	sh *nodeShard // nil for the dedicated session core
+	// sends is the pass's batches in first-forward order, reused across
+	// passes; the ups slices inside are not reused, since the receiving
+	// worker owns them after the send. seg indexes the current segment's
+	// first batch, and born/tid are the applied batch's stamps.
+	sends []depSend
+	seg   int
+	born  sim.Time
+	tid   uint64
+}
+
+// begin starts a pass.
+func (t *transport) begin() {
+	t.sends, t.seg, t.tid = t.sends[:0], 0, 0
+}
+
+// segment precedes the copies of the pass's next applied batch b: a
+// traced batch, and the batch after one, open a new segment.
+func (t *transport) segment(b *batch) {
+	if b.tid != 0 || t.tid != 0 {
+		t.seg = len(t.sends)
+	}
+	t.born, t.tid = b.born, b.tid
 }
 
 func (t *transport) Now() sim.Time { return t.c.now() }
@@ -315,7 +388,17 @@ func (t *transport) SendToDependent(dep repository.ID, item string, v float64, r
 	if ch == nil {
 		return false
 	}
-	t.pending = append(t.pending, pendSend{ch, upd{item, v}})
+	u := upd{item, v}
+	for i := len(t.sends) - 1; i >= t.seg; i-- {
+		if s := &t.sends[i]; s.ch == ch {
+			if s.b.add(u) {
+				s.b.born = min(s.b.born, t.born)
+				return true
+			}
+			break
+		}
+	}
+	t.sends = append(t.sends, depSend{ch: ch, b: batch{one: [1]upd{u}, born: t.born, tid: t.tid}})
 	return true
 }
 
@@ -487,8 +570,10 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 			}
 			sh := &nodeShard{
 				core: dnode.New(r, o.Node, shOpts),
-				in:   make(chan batch, opts.Buffer),
 				out:  make(map[repository.ID]chan batch),
+			}
+			if !r.IsSource() {
+				sh.in = make(chan batch, opts.Buffer)
 			}
 			sh.tr.c, sh.tr.sh = c, sh
 			n.shards[s] = sh
@@ -522,9 +607,11 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 	return c
 }
 
-// Start launches one worker goroutine per (node, shard) — and, when
+// Start launches one worker goroutine per relay (node, shard) — and, when
 // failure handling is armed, one heartbeater per node, one watchdog per
 // non-source node and one session watchdog. It must be called once.
+// Publishes before Start are applied at the source and queue in its
+// dependents' inboxes, so each relay's first drain takes that backlog.
 func (c *Cluster) Start() {
 	now := c.clock()
 	for _, n := range c.nodes {
@@ -536,6 +623,9 @@ func (c *Cluster) Start() {
 			n.mu.Unlock()
 		}
 		for _, sh := range n.shards {
+			if sh.in == nil {
+				continue // the source applies in its publishers
+			}
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
@@ -568,33 +658,36 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Stop terminates all node goroutines and waits for them, then closes
-// every shard's write-ahead log (flushing and fsyncing per policy), so a
-// stopped durable cluster's directories hold its exact final state.
+// Stop terminates all node goroutines and waits for them and for any
+// publish still applying, then closes every shard's write-ahead log
+// (flushing and fsyncing per policy), so a stopped durable cluster's
+// directories hold its exact final state.
 func (c *Cluster) Stop() {
 	c.closeOnce.Do(func() { close(c.done) })
 	c.wg.Wait()
+	for _, sh := range c.nodes[repository.SourceID].shards {
+		// A publish holds pub until it returns, and one that takes it
+		// from now on finds the cluster stopped.
+		sh.pub.Lock()
+		sh.pub.Unlock()
+	}
 	c.closeLogs()
 }
 
-// Publish injects a new value of item at the source. It blocks only if
-// the source inbox is full, and returns false if the cluster is stopped.
+// Publish applies a new value of item at the source, in the calling
+// goroutine, and sends the copies it forwards. It blocks while a source
+// dependent's inbox is full (and for the source's CompDelay), and returns
+// false if the cluster is stopped.
 func (c *Cluster) Publish(item string, value float64) bool {
-	if c.stopped() {
-		return false
-	}
 	src := c.nodes[repository.SourceID]
-	return c.inject(src, src.shardOf(item), batch{one: [1]upd{{item, value}}})
+	return c.publish(src, src.shardOf(item), batch{one: [1]upd{{item, value}}})
 }
 
-// PublishBatch injects one tick's worth of source updates as batches:
-// same-item updates coalesce to the newest value, and each shard
-// receives its partition as a single batch (in shard order). It returns
-// false if the cluster is stopped.
+// PublishBatch applies one tick's worth of source updates as batches,
+// the way Publish applies one: same-item updates coalesce to the newest
+// value, and each shard applies its partition as a single batch (in
+// shard order). It returns false if the cluster is stopped.
 func (c *Cluster) PublishBatch(ups []Update) bool {
-	if c.stopped() {
-		return false
-	}
 	src := c.nodes[repository.SourceID]
 	perShard := make([][]upd, len(src.shards))
 	for _, i := range dnode.CoalesceBatch(len(ups), func(i int) string { return ups[i].Item }) {
@@ -602,25 +695,30 @@ func (c *Cluster) PublishBatch(ups []Update) bool {
 		perShard[s] = append(perShard[s], upd{ups[i].Item, ups[i].Value})
 	}
 	for s, b := range perShard {
-		if len(b) > 0 && !c.inject(src, src.shards[s], batch{ups: b}) {
+		if len(b) > 0 && !c.publish(src, src.shards[s], batch{ups: b}) {
 			return false
 		}
 	}
 	return true
 }
 
-// inject hands one source batch to a shard of the source. Publishing is
-// not a hop, so the batch carries no due stamp; with an obs tree it is
-// stamped with the tick's birth time and maybe sampled for a trace
-// (handleBatch skips the source "hop" because from is the source's own
-// id).
-func (c *Cluster) inject(src *node, sh *nodeShard, b batch) bool {
+// publish runs one source batch through a source shard's pass under the
+// shard's publish mutex. Publishing is not a hop, so the batch carries no
+// due stamp; with an obs tree it is stamped with the tick's birth time
+// and maybe sampled for a trace (pass records no hop for it, since from
+// is the source's own id).
+func (c *Cluster) publish(src *node, sh *nodeShard, b batch) bool {
+	sh.pub.Lock()
+	defer sh.pub.Unlock()
+	if c.stopped() {
+		return false
+	}
 	if src.obs != nil {
 		now := c.now()
 		b.sent, b.born = now, now
 		b.tid = c.opts.Obs.TracerOrNil().Sample(b.updates()[0].item, repository.SourceID, int64(now))
 	}
-	return c.send(sh.in, b)
+	return c.pass(src, sh, []batch{b})
 }
 
 // Value returns a node's current copy of item.
@@ -651,87 +749,109 @@ func (c *Cluster) Seed(item string, value float64) {
 	}
 }
 
-// runShard is the per-(node, shard) worker body: receive a batch, wait
-// out its hop latency, record, filter, forward. A crashed node keeps
-// draining its inboxes — a dead process's peers are not blocked by it —
-// but drops everything on the floor.
+// runShard is a relay (node, shard) worker's body: wake on a batch, take
+// every batch already queued behind it (a drain), wait out the latest due
+// stamp among them, then run the drain as one pass and return the
+// received batches' pooled slices. A crashed node keeps draining its
+// inboxes — a dead process's peers are not blocked by it — but drops
+// everything on the floor.
 func (c *Cluster) runShard(n *node, sh *nodeShard) {
 	var timer *time.Timer // only batches stamped under a CommDelay wait
 	if c.opts.CommDelay > 0 {
 		timer = time.NewTimer(c.opts.CommDelay)
 		defer timer.Stop()
 	}
+	var in []batch // the drain, reused across drains
 	for {
 		b, ok := c.recv(sh.in)
-		if !ok || (b.due != 0 && !c.await(b.due, timer)) {
+		if !ok {
 			return
 		}
-		c.handleBatch(n, sh, &b)
+		in = append(in[:0], b)
+		due := b.due
+		// Only this worker receives, so the queued batches are there.
+		for k := len(sh.in); k > 0; k-- {
+			b := <-sh.in
+			in, due = append(in, b), max(due, b.due)
+		}
+		if due != 0 && !c.await(due, timer) {
+			return
+		}
+		if !c.pass(n, sh, in) {
+			return
+		}
+		for i := range in {
+			in[i].release()
+		}
 	}
 }
 
-// handleBatch runs one received batch through the shard's core and
-// flushes the resulting per-dependent batches. The core decides —
-// dependents through the per-edge filters, sessions through the
-// per-client ones — while the wiring is stable under the locks; the
-// (blocking) channel sends to dependents happen after they drop.
-func (c *Cluster) handleBatch(n *node, sh *nodeShard, b *batch) {
+// pass runs a drain — a relay's received batches in arrival order, or one
+// published batch at the source — through the shard's core and sends the
+// resulting batches. The core decides — dependents through the per-edge
+// filters, sessions through the per-client ones — while the wiring is
+// stable under the locks: one topoMu read hold and one shard mutex hold
+// for the whole drain, and one write-ahead-log commit once all of it is
+// applied (the ordering rule of node.Durable). The (blocking) sends to
+// dependents happen after the locks drop. It reports false if the
+// cluster stopped during a send.
+func (c *Cluster) pass(n *node, sh *nodeShard, in []batch) bool {
 	if n.dead.Load() {
-		return
+		return true
 	}
-	if c.opts.FailWindow > 0 {
+	src := n.repo.IsSource()
+	if c.opts.FailWindow > 0 && !src {
 		n.mu.Lock()
-		n.lastHeard[b.from] = c.clock()
+		now := c.clock()
+		for i := range in {
+			n.lastHeard[in[i].from] = now
+		}
 		n.mu.Unlock()
 	}
-	if b.heartbeat {
-		return
-	}
-	ups := b.updates()
 	c.topoMu.RLock()
 	if n.obs != nil {
-		now := c.now()
-		n.obs.Batch(len(ups))
-		if b.sent != 0 && b.from != n.repo.ID {
-			// A stamped batch from an upstream peer: record the hop
-			// (sender's flush to our receipt, the Eq. 2 edge-delay input)
-			// and how far this tick already is from its source birth.
-			hop := int64(now - b.sent)
-			n.obs.ObserveHop(hop)
-			n.obs.ObserveEdgeDelay(b.from, hop)
-			n.obs.ObserveSourceLatency(int64(now - b.born))
-			c.opts.Obs.TracerOrNil().Hop(b.tid, n.repo.ID, int64(now))
-		}
+		c.observe(n, in)
 	}
 	sh.mu.Lock()
-	sh.tr.pending = sh.tr.pending[:0]
-	for _, u := range ups {
-		sh.core.Apply(u.item, u.value, &sh.tr)
+	sh.tr.begin()
+	for i := range in {
+		b := &in[i]
+		if b.heartbeat {
+			continue
+		}
+		sh.tr.segment(b)
+		for _, u := range b.updates() {
+			sh.core.Apply(u.item, u.value, &sh.tr)
+		}
 	}
 	if sh.dur != nil {
-		// Group commit on the batch boundary, after the Apply loop (the
-		// ordering rule of node.Durable).
-		for _, u := range ups {
-			sh.dur.Append(u.item, u.value)
+		for i := range in {
+			for _, u := range in[i].updates() {
+				sh.dur.Append(u.item, u.value)
+			}
 		}
 		sh.dur.Commit()
 	}
-	sends := sh.groupSends()
+	sends := sh.tr.sends
 	sh.mu.Unlock()
 	if n.sessCore != nil {
-		// Sharded nodes fan the batch to client sessions through the
+		// Sharded nodes fan the drain to client sessions through the
 		// dedicated serve-only core.
 		n.mu.Lock()
-		for _, u := range ups {
-			n.sessCore.Apply(u.item, u.value, &n.sessTr)
+		for i := range in {
+			for _, u := range in[i].updates() {
+				n.sessCore.Apply(u.item, u.value, &n.sessTr)
+			}
 		}
 		n.mu.Unlock()
 	}
 	c.topoMu.RUnlock()
 
-	if !n.repo.IsSource() && c.opts.OnDeliver != nil {
-		for _, u := range ups {
-			c.opts.OnDeliver(n.repo.ID, u.item, u.value)
+	if !src && c.opts.OnDeliver != nil {
+		for i := range in {
+			for _, u := range in[i].updates() {
+				c.opts.OnDeliver(n.repo.ID, u.item, u.value)
+			}
 		}
 	}
 
@@ -744,37 +864,39 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b *batch) {
 		}
 		out.from = n.repo.ID
 		if n.obs != nil {
-			// Restamp the flush time (the hop downstream measures) and
-			// carry the tick's birth stamp and trace id along, so a
-			// sampled trace accumulates the whole fan-out tree.
-			out.sent, out.born, out.tid = c.now(), b.born, b.tid
+			// Stamp the flush time (the hop downstream measures); born and
+			// tid came from the segment, so a sampled trace accumulates the
+			// whole fan-out tree.
+			out.sent = c.now()
 		}
 		out.due = c.hopDue()
 		if !c.send(sends[i].ch, out) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
-// groupSends folds the pass's collected copies into one batch per
-// dependent, in first-forward order, reusing the shard's scratch slice.
-// A dependent's first copy rides inline; only a second one in the same
-// pass allocates, a fresh ups slice, because the receiving shard owns it
-// after the send. The returned slice is valid until the worker's next
-// pass (only the shard's own worker calls this).
-func (sh *nodeShard) groupSends() []depSend {
-	sh.sends = sh.sends[:0]
-outer:
-	for _, p := range sh.tr.pending {
-		for i := range sh.sends {
-			if sh.sends[i].ch == p.ch {
-				sh.sends[i].b.add(p.u)
-				continue outer
-			}
+// observe records the receipt of a drain's update batches: a batch count
+// each and, for a stamped batch from an upstream peer, the hop (sender's
+// flush to this receipt, the Eq. 2 edge-delay input), how far its tick
+// already is from its source birth, and its trace stamp.
+func (c *Cluster) observe(n *node, in []batch) {
+	now := c.now()
+	for i := range in {
+		b := &in[i]
+		if b.heartbeat {
+			continue
 		}
-		sh.sends = append(sh.sends, depSend{ch: p.ch, b: batch{one: [1]upd{p.u}}})
+		n.obs.Batch(len(b.updates()))
+		if b.sent != 0 && b.from != n.repo.ID {
+			hop := int64(now - b.sent)
+			n.obs.ObserveHop(hop)
+			n.obs.ObserveEdgeDelay(b.from, hop)
+			n.obs.ObserveSourceLatency(int64(now - b.born))
+			c.opts.Obs.TracerOrNil().Hop(b.tid, n.repo.ID, int64(now))
+		}
 	}
-	return sh.sends
 }
 
 // Crash takes a repository down: it stops handling, forwarding and

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,24 +111,45 @@ func TestClusterObservesDeliveries(t *testing.T) {
 	}
 }
 
+// TestClusterStopTerminates: Stop wakes a relay worker parked on a due
+// stamp and a Publish blocked in its caller on a full inbox. Every copy
+// to P is due an hour after the source sends it and inboxes hold one
+// batch, so P's worker parks after its first drain, its inbox fills
+// behind it, and the goroutine publishing beyond-tolerance values blocks
+// on the next send. Stop must return, and the blocked Publish must
+// return false.
 func TestClusterStopTerminates(t *testing.T) {
 	o := chainOverlay(t)
 	c := NewCluster(o, Options{CommDelay: time.Hour, Buffer: 1})
 	c.Seed("X", 100)
 	c.Start()
-	// Every copy to P is due an hour after the source sends it. With
-	// one-slot inboxes, the source can apply 700 only after sending 600
-	// into P's inbox, so P's worker has taken 500 off it and parked on
-	// its due stamp; the source's send of 700 then blocks on the full
-	// inbox. Stop must wake both.
-	for _, v := range []float64{500, 600, 700} {
-		c.Publish("X", v)
-	}
-	if !waitFor(t, time.Second, func() bool {
-		v, _ := c.Value(repository.SourceID, "X")
-		return v == 700
+	defer c.Stop() // on a failure before the timed Stop
+	var publishing atomic.Int64 // the value the goroutine is publishing
+	refused := make(chan int64, 1)
+	go func() {
+		for v := int64(500); ; v += 100 {
+			publishing.Store(v)
+			if !c.Publish("X", float64(v)) {
+				refused <- v
+				return
+			}
+		}
+	}()
+	// Blocked: the source has applied the value being published and P's
+	// inbox is full, unchanged for 50ms.
+	inbox := c.nodes[1].shards[0].in
+	var blocked int64
+	var since time.Time
+	if !waitFor(t, 5*time.Second, func() bool {
+		v := publishing.Load()
+		applied, _ := c.Value(repository.SourceID, "X")
+		if int64(applied) != v || len(inbox) != cap(inbox) || v != blocked {
+			blocked, since = v, time.Now()
+			return false
+		}
+		return time.Since(since) >= 50*time.Millisecond
 	}) {
-		t.Fatal("the source never applied the third publish")
+		t.Fatal("the publishing goroutine never blocked on P's full inbox")
 	}
 	done := make(chan struct{})
 	go func() {
@@ -137,7 +159,15 @@ func TestClusterStopTerminates(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Stop did not terminate with in-flight sends")
+		t.Fatal("Stop did not terminate with a parked relay and a blocked Publish")
+	}
+	select {
+	case v := <-refused:
+		if v != blocked {
+			t.Errorf("Publish(%v) returned false, want the blocked Publish(%v)", v, blocked)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the blocked Publish never returned")
 	}
 	if c.Publish("X", 600) {
 		t.Error("Publish succeeded after Stop")

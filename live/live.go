@@ -1,7 +1,8 @@
-// Package live exposes the real-time goroutine runtime: every overlay
-// node is a goroutine, push connections are channels, and the distributed
-// dissemination algorithm (Eqs. 3 and 7 of the paper) filters updates in
-// real time. See d3t/internal/live for the implementation.
+// Package live exposes the real-time goroutine runtime: every relay is a
+// goroutine, the source applies publishes in the caller, push connections
+// are channels, and the distributed dissemination algorithm (Eqs. 3 and 7
+// of the paper) filters updates in real time. See d3t/internal/live for
+// the implementation.
 package live
 
 import (
