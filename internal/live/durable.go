@@ -14,7 +14,7 @@ import (
 // before the goroutines start, so a rebuilt repository resumes with its
 // exact pre-crash values and edge filter state instead of rejoining cold.
 // The glue is node.Durable (which also states the log-after-apply rule
-// pass follows); live's share is the directory naming,
+// that pass follows); live's share is the directory naming,
 // Dir/repoNNN/shardMM, and the lock: every call on a shard's Durable
 // happens under that shard's mutex.
 
