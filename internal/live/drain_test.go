@@ -21,22 +21,23 @@ import (
 	"d3t/internal/wal"
 )
 
-// TestDrainKeepsTrace runs one drain at P by hand — two untraced
-// batches, a sampled one, an untraced one, every update beyond both
-// tolerances — and reads what reaches Q's inbox: the untraced pair merged
-// under the earlier birth stamp, the sampled batch on its own with its
-// trace id, and the last batch on its own, since it follows the sampled
-// one. Then a backlog through the running chain: every sampled publish
+// TestDrainKeepsTrace runs one drain at P by hand — an unstamped failover
+// sync, two untraced batches, a sampled one, an untraced one, every update
+// beyond both tolerances — and reads what reaches Q's inbox: the first
+// three merged under the earliest birth stamp (the sync has none), the
+// sampled batch on its own with its trace id, and the last batch on its
+// own, since it follows the sampled one. Then a backlog through the running chain: every sampled publish
 // still reaches Q.
 func TestDrainKeepsTrace(t *testing.T) {
 	c := NewCluster(chainOverlay(t), Options{Obs: obs.NewTree()})
 	c.Seed("X", 100)
 	p := c.nodes[1]
 	in := []batch{
-		{one: [1]upd{{"X", 200}}, sent: 40, born: 30},
-		{one: [1]upd{{"X", 300}}, sent: 41, born: 10},
-		{one: [1]upd{{"X", 400}}, sent: 42, born: 20, tid: 7},
-		{one: [1]upd{{"X", 500}}, sent: 43, born: 35},
+		{one: [1]upd{{"X", 200}}},
+		{one: [1]upd{{"X", 300}}, sent: 40, born: 30},
+		{one: [1]upd{{"X", 400}}, sent: 41, born: 10},
+		{one: [1]upd{{"X", 500}}, sent: 42, born: 20, tid: 7},
+		{one: [1]upd{{"X", 600}}, sent: 43, born: 35},
 	}
 	if !c.pass(p, p.shards[0], in) {
 		t.Fatal("pass reported a stopped cluster")
@@ -57,7 +58,7 @@ func TestDrainKeepsTrace(t *testing.T) {
 		got = append(got, sent{vals, int64(b.born), b.tid})
 		b.release()
 	}
-	want := []sent{{[]float64{200, 300}, 10, 0}, {[]float64{400}, 20, 7}, {[]float64{500}, 35, 0}}
+	want := []sent{{[]float64{200, 300, 400}, 10, 0}, {[]float64{500}, 20, 7}, {[]float64{600}, 35, 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("P sent Q %+v, want %+v", got, want)
 	}
@@ -367,13 +368,13 @@ func TestDrainAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDrainAwaitsDue: a drain waits for the latest due stamp among its
-// batches, so under CommDelay no copy of a 50-publish burst is applied
-// at depth d earlier than d delays after its publish. The burst spans
-// about one delay, so a relay's drains hold batches due at different
-// times.
+// TestDrainAwaitsDue: under CommDelay a drain applies no batch before
+// its due stamp and holds none back for a later one, so every copy of a
+// 50-publish burst is applied at depth d between d delays and d delays
+// plus a slack after its publish. The burst spans about one delay, so a
+// relay's inbox holds batches due at different times whenever it wakes.
 func TestDrainAwaitsDue(t *testing.T) {
-	const delay = 10 * time.Millisecond
+	const delay, slack = 100 * time.Millisecond, 50 * time.Millisecond
 	var mu sync.Mutex
 	published := make(map[float64]time.Time)
 	applied := make(map[repository.ID]int)
@@ -381,8 +382,12 @@ func TestDrainAwaitsDue(t *testing.T) {
 		at := time.Now()
 		mu.Lock()
 		defer mu.Unlock()
-		if took, min := at.Sub(published[v]), time.Duration(id)*delay; took < min {
+		took, min := at.Sub(published[v]), time.Duration(id)*delay
+		if took < min {
 			t.Errorf("%v at depth %d after %v, want at least %v", v, id, took, min)
+		}
+		if took > min+slack {
+			t.Errorf("%v at depth %d after %v, want at most %v", v, id, took, min+slack)
 		}
 		applied[id]++
 	}})

@@ -151,7 +151,12 @@ func TestCommDelayIsLatency(t *testing.T) {
 // watchdog per non-source node and one session watchdog; a failover adds
 // nothing; Stop returns to the baseline.
 func TestClusterGoroutines(t *testing.T) {
+	// The previous test's runner goroutine may still be exiting: take the
+	// baseline once the count stops falling.
 	base := runtime.NumGoroutine()
+	for waitFor(t, 100*time.Millisecond, func() bool { return runtime.NumGoroutine() < base }) {
+		base = runtime.NumGoroutine()
+	}
 	expect := func(what string, want int) {
 		t.Helper()
 		if !waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() == want }) {

@@ -50,18 +50,20 @@
 //
 // # Drains
 //
-// A relay's worker that wakes takes every batch already queued in its
-// inbox — a drain — and waits for the latest due stamp among them, so no
-// batch is applied before it is due. It applies them in arrival order
-// under one topoMu read hold and one shard mutex hold, with one
-// write-ahead-log commit for the drain, then sends one merged batch per
-// dependent: the copies the drain produced for that dependent, in
-// decision order. A merge never coalesces (CoalesceBatch runs only on a
-// published batch), so each update is still decided on its own and the
-// decisions match a one-at-a-time run. A merged batch carries the
-// earliest birth stamp of its inputs, and a sampled batch (a trace id) is
-// never merged with another, so a trace follows its own update. netio's
-// relays drain their read buffer by the same rule.
+// A relay's worker that wakes waits for the due stamp of the batch that
+// woke it, then takes every batch queued behind it that is due by then —
+// a drain. The first queued batch not yet due heads the next drain, so no
+// batch is applied before it is due and none waits for a later one: under
+// steady traffic a hop still costs CommDelay. The worker applies the
+// drain in arrival order under one topoMu read hold and one shard mutex
+// hold, with one write-ahead-log commit for the drain, then sends one
+// merged batch per dependent: the copies the drain produced for that
+// dependent, in decision order. A merge never coalesces (CoalesceBatch
+// runs only on a published batch), so each update is still decided on
+// its own and the decisions match a one-at-a-time run. A merged batch
+// carries the earliest birth stamp of its stamped inputs, and a sampled
+// batch (a trace id) is never merged with another, so a trace follows its
+// own update. netio's relays drain their read buffer by the same rule.
 package live
 
 import (
@@ -392,7 +394,11 @@ func (t *transport) SendToDependent(dep repository.ID, item string, v float64, r
 	for i := len(t.sends) - 1; i >= t.seg; i-- {
 		if s := &t.sends[i]; s.ch == ch {
 			if s.b.add(u) {
-				s.b.born = min(s.b.born, t.born)
+				// The earliest stamp wins; an unstamped copy (a failover
+				// sync's) has none to offer.
+				if s.b.born == 0 || t.born != 0 && t.born < s.b.born {
+					s.b.born = t.born
+				}
 				return true
 			}
 			break
@@ -749,12 +755,14 @@ func (c *Cluster) Seed(item string, value float64) {
 	}
 }
 
-// runShard is a relay (node, shard) worker's body: wake on a batch, take
-// every batch already queued behind it (a drain), wait out the latest due
-// stamp among them, then run the drain as one pass and return the
-// received batches' pooled slices. A crashed node keeps draining its
-// inboxes — a dead process's peers are not blocked by it — but drops
-// everything on the floor.
+// runShard is a relay (node, shard) worker's body: wake on a batch, wait
+// out its due stamp, take every batch queued behind it that is due by
+// then (a drain), and run the drain as one pass, then return the received
+// batches' pooled slices. The first queued batch not yet due is carried
+// over to head the next drain, so no batch is applied early and none
+// waits for a later one. A crashed node keeps draining its inboxes — a
+// dead process's peers are not blocked by it — but drops everything on
+// the floor.
 func (c *Cluster) runShard(n *node, sh *nodeShard) {
 	var timer *time.Timer // only batches stamped under a CommDelay wait
 	if c.opts.CommDelay > 0 {
@@ -762,20 +770,31 @@ func (c *Cluster) runShard(n *node, sh *nodeShard) {
 		defer timer.Stop()
 	}
 	var in []batch // the drain, reused across drains
+	var head batch // the drain's first batch, carried over when it was not yet due
+	carried := false
 	for {
-		b, ok := c.recv(sh.in)
-		if !ok {
+		if !carried {
+			var ok bool
+			if head, ok = c.recv(sh.in); !ok {
+				return
+			}
+		}
+		if head.due != 0 && !c.await(head.due, timer) {
 			return
 		}
-		in = append(in[:0], b)
-		due := b.due
+		in, carried = append(in[:0], head), false
+		var now int64 // due stamps are 0 without a CommDelay
+		if timer != nil {
+			now = int64(time.Since(c.epoch))
+		}
 		// Only this worker receives, so the queued batches are there.
 		for k := len(sh.in); k > 0; k-- {
 			b := <-sh.in
-			in, due = append(in, b), max(due, b.due)
-		}
-		if due != 0 && !c.await(due, timer) {
-			return
+			if b.due > now {
+				head, carried = b, true
+				break
+			}
+			in = append(in, b)
 		}
 		if !c.pass(n, sh, in) {
 			return

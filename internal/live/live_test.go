@@ -123,7 +123,7 @@ func TestClusterStopTerminates(t *testing.T) {
 	c := NewCluster(o, Options{CommDelay: time.Hour, Buffer: 1})
 	c.Seed("X", 100)
 	c.Start()
-	defer c.Stop() // on a failure before the timed Stop
+	defer c.Stop()              // on a failure before the timed Stop
 	var publishing atomic.Int64 // the value the goroutine is publishing
 	refused := make(chan int64, 1)
 	go func() {
